@@ -37,6 +37,7 @@ tables, and gates the warm run at >= 5x over the cold one.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from collections import OrderedDict
 from typing import Dict, List, Tuple
@@ -78,6 +79,10 @@ PARALLEL_SCALE = 1.0 / 10.0
 #: over the per-item reference across the warm Fig. 3 + thrashing Fig. 9d
 #: grids (env-overridable for noisy CI runners, like MIN_SPEEDUP).
 MIN_WARM_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_WARM_SPEEDUP", "3.0"))
+
+#: Interleaved (reference, kernel) run pairs of the warm gate, whose
+#: per-grid medians the gate compares.
+WARM_PAIRS = 3
 
 #: Per-grid floor within the warm gate: neither regime may fall back to
 #: reference-level speed even when the combined gate would still pass.
@@ -180,18 +185,29 @@ def test_warm_kernel_fig3_and_fig9d_thrashing_3x_and_exact(
     """The segmented-LRU warm-kernel gate (see the module docstring)."""
     grids = {"fig3_warm": _warm_fig3_points(),
              "fig9d_dali": _fig9d_dali_points()}
-    reference = {name: min((_timed_points(points, fast_path=False)
-                            for _ in range(REPEATS)), key=lambda r: r[0])
-                 for name, points in grids.items()}
 
-    def _kernel_runs():
-        return {name: _timed_points(points, fast_path=True)
+    def _runs(fast_path: bool):
+        return {name: _timed_points(points, fast_path=fast_path)
                 for name, points in grids.items()}
 
-    warm_runs = [_kernel_runs() for _ in range(REPEATS - 1)]
-    warm_runs.append(benchmark.pedantic(_kernel_runs, rounds=1, iterations=1))
-    fast = {name: min((run[name] for run in warm_runs), key=lambda r: r[0])
-            for name in grids}
+    # Reference and kernel runs alternate, so a slow phase of the host
+    # hits both sides alike; the gate then compares their medians.
+    reference_runs, warm_runs = [], []
+    for pair in range(WARM_PAIRS):
+        reference_runs.append(_runs(fast_path=False))
+        if pair == WARM_PAIRS - 1:
+            warm_runs.append(benchmark.pedantic(_runs, args=(True,),
+                                                rounds=1, iterations=1))
+        else:
+            warm_runs.append(_runs(fast_path=True))
+
+    def _median(runs):
+        return {name: (statistics.median(run[name][0] for run in runs),
+                       runs[-1][name][1])
+                for name in grids}
+
+    reference = _median(reference_runs)
+    fast = _median(warm_runs)
 
     # Exactness, tier 1 — against the fully per-item reference: epoch
     # times within 1e-9 everywhere, and the Fig. 9(d) dali side (a pure

@@ -52,7 +52,7 @@ from repro.sim.sweep import SweepRunner
 
 #: Version tag exchanged in ``hello`` frames; bumped on breaking protocol
 #: changes so a stale agent fails loudly instead of misparsing.
-DIST_PROTOCOL_VERSION = 1
+DIST_PROTOCOL_VERSION = 2
 
 #: Environment variable supplying the default worker-host list of the
 #: sweep-running CLI commands (``run-experiment`` / ``report`` / ``serve``)

@@ -45,7 +45,7 @@ import socket
 import subprocess
 import sys
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.dist.protocol import (
@@ -90,6 +90,8 @@ class DistWorker:
         self._listener = socket.create_server((host, port))
         self._closed = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
+        self._conns: Set[socket.socket] = set()  # open executor connections
+        self._conns_lock = threading.Lock()
         self.chunks_served = 0
         self.points_served = 0
         self._stats_lock = threading.Lock()
@@ -132,10 +134,24 @@ class DistWorker:
             self.close()
 
     def close(self) -> None:
-        """Stop accepting and release the pool (idempotent)."""
+        """Stop accepting, drop open executor connections and release the
+        pool (idempotent).
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept()`` on Linux, and closing a connection does not wake its
+        reader, so both are shut down first: the accept thread and every
+        idle connection thread then exit at once.
+        """
         if self._closed.is_set():
             return
         self._closed.set()
+        with self._conns_lock:
+            sockets = [self._listener, *self._conns]
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # never connected / already gone
+                pass
         try:
             self._listener.close()
         except OSError:
@@ -160,8 +176,13 @@ class DistWorker:
         while not self._closed.is_set():
             try:
                 conn, _ = self._listener.accept()
-            except OSError:  # listener closed
+            except OSError:  # listener shut down
                 return
+            with self._conns_lock:
+                if self._closed.is_set():  # raced with close()
+                    conn.close()
+                    return
+                self._conns.add(conn)
             thread = threading.Thread(target=self._handle, args=(conn,),
                                       name="repro-dist-conn", daemon=True)
             thread.start()
@@ -203,6 +224,8 @@ class DistWorker:
         except (ConnectionError, OSError):  # driver died mid-send
             return
         finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:

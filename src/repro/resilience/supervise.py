@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, WorkerLostError
 from repro.resilience.faults import FaultInjector
@@ -51,6 +52,10 @@ _BROKEN_ERRORS = (BrokenProcessPool, concurrent.futures.BrokenExecutor,
 
 #: Seconds to wait for worker processes to exit before terminating them.
 _SHUTDOWN_GRACE_S = 5.0
+
+#: Bound on waiting for the result-queue write lock, and then for the
+#: victim's exit, when delivering a kill.
+_KILL_LOCK_S = 5.0
 
 
 def _shutdown_executor(executor: concurrent.futures.ProcessPoolExecutor,
@@ -158,31 +163,49 @@ class SupervisedExecutor:
                 self.respawns += 1
         _shutdown_executor(broken, force=True)
 
-    def live_pids(self) -> List[int]:
-        """Pids of the current worker processes (may be empty mid-rebuild)."""
+    def _live_processes(self) -> Tuple[Optional[concurrent.futures
+                                              .ProcessPoolExecutor], list]:
+        """The current executor and its live worker processes."""
         with self._cond:
             executor = self._executor
-        if executor is None:
-            return []
-        processes = getattr(executor, "_processes", None)
-        if not processes:
-            return []
-        return [proc.pid for proc in list(processes.values())
-                if proc.pid is not None and proc.is_alive()]
+        processes = getattr(executor, "_processes", None) or {}
+        return executor, [proc for proc in list(processes.values())
+                          if proc.pid is not None and proc.is_alive()]
+
+    def live_pids(self) -> List[int]:
+        """Pids of the current worker processes (may be empty mid-rebuild)."""
+        return [proc.pid for proc in self._live_processes()[1]]
 
     def kill_one_worker(self) -> Optional[int]:
         """SIGKILL one live worker (parent-side); returns its pid or None.
 
         This is how planned worker kills are delivered, and tests may call
         it directly to murder a worker mid-run.
+
+        The kill is sent while holding the executor's result-queue write
+        lock, and the lock is released only once the victim is dead.
+        Workers write results under that lock, so none dies half-way
+        through a result: a partial message would block the executor's
+        result reader forever and the pool would never report itself
+        broken.
         """
-        for pid in self.live_pids():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (OSError, ProcessLookupError):
-                continue
-            return pid
-        return None
+        executor, processes = self._live_processes()
+        lock = getattr(getattr(executor, "_result_queue", None), "_wlock",
+                       None)
+        held = lock is not None and lock.acquire(timeout=_KILL_LOCK_S)
+        try:
+            for proc in processes:
+                try:
+                    os.kill(proc.pid, signal.SIGKILL)
+                except (OSError, ProcessLookupError):
+                    continue
+                multiprocessing.connection.wait([proc.sentinel],
+                                                timeout=_KILL_LOCK_S)
+                return proc.pid
+            return None
+        finally:
+            if held:
+                lock.release()
 
     # -- supervised execution -------------------------------------------------
 

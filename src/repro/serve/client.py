@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     RETRY_AFTER_HEADER,
     point_to_wire,
     record_from_wire,
@@ -172,6 +173,11 @@ class ServeClient:
                 f"cannot reach serve daemon at {self._url}: {exc.reason}")
             error._retryable = _is_retryable_url_error(exc)
             raise error from None
+        if payload.get("protocol") != PROTOCOL_VERSION:
+            raise ConfigurationError(
+                f"protocol mismatch: serve daemon at {self._url} speaks "
+                f"{payload.get('protocol')!r}, this client "
+                f"{PROTOCOL_VERSION}")
         return payload
 
     def health(self) -> Dict[str, Any]:

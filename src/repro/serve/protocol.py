@@ -46,7 +46,7 @@ ALLOWED_FACTORY_MODULES = ("repro.cluster.configs",)
 
 #: Version tag carried in every response envelope, bumped on breaking
 #: protocol changes so a stale client fails loudly instead of misparsing.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Header carried by 503 responses (admission rejection, draining): how
 #: many seconds the client should wait before retrying.  The client's

@@ -51,6 +51,7 @@ through a per-call spawn pool, or through a long-lived
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import math
@@ -61,6 +62,8 @@ import traceback
 from dataclasses import dataclass, fields
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple)
+
+import numpy as np
 
 if TYPE_CHECKING:  # repro.store imports this module; annotation-only here
     from repro.store import PersistentPool, StoreArg
@@ -389,21 +392,50 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _pack_timeline(times: np.ndarray, cumulative: np.ndarray) -> str:
+    """Embedded form of a disk timeline: base64 of its float64 byte planes.
+
+    All times, then all cumulative bytes, packed little-endian and
+    transposed so the k-th byte of every value sits together: the sign,
+    exponent and high mantissa bytes of neighbouring samples repeat, which
+    the store's zlib pass compresses far better than interleaved values.
+    """
+    values = np.concatenate((times, cumulative)).astype("<f8", copy=False)
+    planes = values.view(np.uint8).reshape(-1, 8).T
+    return base64.b64encode(planes.tobytes()).decode("ascii")
+
+
+def _unpack_timeline(text: str,
+                     length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_pack_timeline` for a ``length``-sample timeline."""
+    try:
+        blob = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"embedded timeline is not base64: {exc}") \
+            from None
+    if len(blob) != 16 * length:
+        raise ConfigurationError(
+            f"embedded timeline holds {len(blob)} bytes; {length} samples "
+            f"need {16 * length}")
+    planes = np.frombuffer(blob, dtype=np.uint8).reshape(8, 2 * length)
+    values = planes.T.copy().view("<f8").reshape(-1).astype(np.float64,
+                                                           copy=False)
+    return values[:length], values[length:]
+
+
 def _io_snapshot(io: IOStats, include_timeline: bool = False) -> Dict[str, Any]:
     """Canonical byte-exact form of one epoch's I/O counters.
 
-    The (possibly long) per-read disk timeline is folded into a digest: two
-    timelines agree on the digest iff they agree sample-for-sample on the
-    exact float bits, which keeps golden files small without weakening the
-    byte-identical guarantee.  ``include_timeline`` additionally embeds the
-    raw ``(time, bytes)`` samples in hex form — the self-contained variant
-    the result store persists so a hit can be rehydrated losslessly
-    (:meth:`SweepRecord.from_snapshot`); the digest form alone cannot be
-    inverted.
+    The (possibly long) per-read disk timeline is folded into
+    :attr:`IOStats.timeline_digest`: two timelines agree on the digest iff
+    they agree sample-for-sample on the exact float bits, which keeps
+    golden files small without weakening the byte-identical guarantee.
+    ``include_timeline`` additionally embeds the raw ``(time, bytes)``
+    samples (:func:`_pack_timeline`) — the self-contained variant the
+    result store, the serve wire and dist frames carry, so a record can be
+    rehydrated losslessly (:meth:`SweepRecord.from_snapshot`); the digest
+    form alone cannot be inverted.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for t, b in io.timeline:
-        digest.update(f"{_hex(t)}:{_hex(b)};".encode("ascii"))
     data: Dict[str, Any] = {
         "disk_bytes": _hex(io.disk_bytes),
         "disk_requests": io.disk_requests,
@@ -411,24 +443,29 @@ def _io_snapshot(io: IOStats, include_timeline: bool = False) -> Dict[str, Any]:
         "cache_requests": io.cache_requests,
         "remote_bytes": _hex(io.remote_bytes),
         "remote_requests": io.remote_requests,
-        "timeline_len": len(io.timeline),
-        "timeline_digest": digest.hexdigest(),
+        "timeline_len": io.timeline_len,
+        "timeline_digest": io.timeline_digest,
     }
     if include_timeline:
-        # Same rendering the digest hashes: one compact delimited string
-        # parses several times faster than nested JSON arrays and keeps
-        # store entries ~40% smaller.
-        data["timeline"] = ";".join(f"{_hex(t)}:{_hex(b)}"
-                                    for t, b in io.timeline)
+        data["timeline"] = _pack_timeline(*io.timeline_arrays())
     return data
 
 
 def _io_from_snapshot(data: Dict[str, Any]) -> IOStats:
-    """Inverse of :func:`_io_snapshot` (requires the embedded timeline)."""
-    if data.get("timeline_len", 0) and "timeline" not in data:
+    """Inverse of :func:`_io_snapshot` (requires the embedded timeline).
+
+    The samples are decoded into arrays and installed as one pending
+    timeline chunk together with the stored digest: tuples are only built
+    if the timeline is read, and re-snapshotting hashes nothing.
+    """
+    length = int(data.get("timeline_len", 0))
+    if length and "timeline" not in data:
         raise ConfigurationError(
             "I/O snapshot carries only the timeline digest; rehydration needs "
             "the full-timeline form (snapshot(include_timeline=True))")
+    digest = data["timeline_digest"]
+    if not isinstance(digest, str) or len(digest) != 32:
+        raise ConfigurationError(f"malformed timeline digest {digest!r}")
     io = IOStats(
         disk_bytes=float.fromhex(data["disk_bytes"]),
         disk_requests=int(data["disk_requests"]),
@@ -437,11 +474,8 @@ def _io_from_snapshot(data: Dict[str, Any]) -> IOStats:
         remote_bytes=float.fromhex(data["remote_bytes"]),
         remote_requests=int(data["remote_requests"]),
     )
-    fromhex = float.fromhex
-    io.timeline = [(fromhex(t), fromhex(b))
-                   for t, _, b in (sample.partition(":") for sample
-                                   in data.get("timeline", "").split(";")
-                                   if sample)]
+    io.load_timeline(*_unpack_timeline(data.get("timeline", ""), length),
+                     digest=digest)
     return io
 
 
@@ -565,8 +599,9 @@ class SweepRecord:
         serial-vs-parallel determinism tests diff.
 
         With ``include_timeline`` the per-read disk timelines are embedded
-        sample by sample (hex floats) instead of digest-only, which makes
-        the snapshot fully invertible — :meth:`from_snapshot` rehydrates a
+        sample by sample (base64 float64 byte planes, see
+        :func:`_pack_timeline`) next to their digest, which makes the
+        snapshot fully invertible — :meth:`from_snapshot` rehydrates a
         bit-identical record from it.  The result store persists this form;
         the committed goldens keep the compact digest-only default.
         """
@@ -631,8 +666,9 @@ class SweepRecord:
         """Rehydrate a record from :meth:`snapshot(include_timeline=True)`.
 
         The inverse is exact: floats come back bit for bit from their hex
-        form, the model is resolved by name from the zoo, and the disk
-        timelines are rebuilt from the embedded samples — so
+        or binary form, the model is resolved by name from the zoo, and
+        the disk timelines are rebuilt lazily from the embedded samples
+        (with the stored digest, see :func:`_io_from_snapshot`) — so
         ``SweepRecord.from_snapshot(r.snapshot(include_timeline=True))``
         snapshots byte-identically to ``r``.  A digest-only snapshot with a
         non-empty timeline cannot be inverted and raises

@@ -17,10 +17,18 @@ design).  Samples and pending chunks therefore live in one tuple attribute
 that materialisation replaces atomically — concurrent readers either
 re-merge to the identical list or see the final state, never a partially
 materialised or double-extended timeline.
+
+The timeline's content digest (:attr:`IOStats.timeline_digest`, what
+record snapshots and the goldens carry) is computed at most once per
+timeline: it is remembered until a mutator changes the samples, travels
+with :meth:`IOStats.copy`, and is installed from the snapshot when a
+stored record is rehydrated (:meth:`IOStats.load_timeline`) — so a served
+or relayed record re-snapshots without formatting a single sample.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +59,9 @@ class IOStats:
         self._timeline_state: Tuple[List[Tuple[float, float]],
                                     List[Tuple[np.ndarray, np.ndarray]]] = (
             [], [])
+        # blake2b digest of the timeline; None until first computed, and
+        # dropped by every mutator of the samples.
+        self._digest: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IOStats(disk_bytes={self.disk_bytes}, "
@@ -79,12 +90,71 @@ class IOStats:
     @timeline.setter
     def timeline(self, samples: Sequence[Tuple[float, float]]) -> None:
         self._timeline_state = (list(samples), [])
+        self._digest = None
+
+    @property
+    def timeline_len(self) -> int:
+        """Number of timeline samples (counted without materialising)."""
+        samples, chunks = self._timeline_state
+        return len(samples) + sum(int(times.size) for times, _ in chunks)
+
+    def timeline_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The timeline as ``(times, cumulative bytes)`` float64 arrays.
+
+        Reads pending chunks directly, so no ``(time, bytes)`` tuples are
+        built; the arrays must be treated as read-only (they may be the
+        pending chunk itself).
+        """
+        samples, chunks = self._timeline_state
+        parts = list(chunks)
+        if samples:
+            pairs = np.array(samples, dtype=np.float64)
+            parts.insert(0, (pairs[:, 0], pairs[:, 1]))
+        if not parts:
+            empty = np.empty(0, dtype=np.float64)
+            return empty, empty
+        if len(parts) == 1:
+            return parts[0]
+        return (np.concatenate([times for times, _ in parts]),
+                np.concatenate([cumulative for _, cumulative in parts]))
+
+    @property
+    def timeline_digest(self) -> str:
+        """blake2b-128 hex digest of the timeline's exact float bits.
+
+        Hashes ``"{t.hex()}:{b.hex()};"`` per sample, so two timelines
+        agree on the digest iff they agree sample for sample.  Computed
+        once and remembered until the samples change.
+        """
+        digest = self._digest
+        if digest is None:
+            times, cumulative = self.timeline_arrays()
+            text = "".join([f"{t.hex()}:{b.hex()};" for t, b
+                            in zip(times.tolist(), cumulative.tolist())])
+            digest = hashlib.blake2b(text.encode("ascii"),
+                                     digest_size=16).hexdigest()
+            self._digest = digest
+        return digest
+
+    def load_timeline(self, times: np.ndarray, cumulative: np.ndarray,
+                      digest: Optional[str] = None) -> None:
+        """Replace the timeline with one pending ``(times, cumulative)``
+        chunk (materialised only if :attr:`timeline` is read).
+
+        ``digest``, when given, is taken as the new timeline's
+        :attr:`timeline_digest` — the rehydration path passes the digest
+        stored alongside the samples.
+        """
+        self._timeline_state = ([], [(times, cumulative)] if times.size
+                                else [])
+        self._digest = digest
 
     def record_disk(self, nbytes: float, at_time: float | None = None) -> None:
         """Account one read served by the storage device."""
         self.disk_bytes += nbytes
         self.disk_requests += 1
         if at_time is not None:
+            self._digest = None
             # Materialises pending chunks first so samples stay in order
             # (recording is single-threaded; see module docstring).
             self.timeline.append((at_time, self.disk_bytes))
@@ -106,6 +176,7 @@ class IOStats:
                 samples,
                 chunks + [(np.asarray(at_times, dtype=np.float64),
                            cumulative)])
+            self._digest = None
         self.disk_bytes += float(sizes.sum())
         self.disk_requests += int(sizes.size)
 
@@ -152,7 +223,8 @@ class IOStats:
         return 1.0 - self.cache_hit_ratio
 
     def copy(self) -> "IOStats":
-        """Snapshot of the counters (timeline chunks shared, not re-built)."""
+        """Snapshot of the counters (timeline chunks shared, not re-built;
+        a remembered digest carries over)."""
         snapshot = IOStats(
             disk_bytes=self.disk_bytes,
             disk_requests=self.disk_requests,
@@ -163,6 +235,7 @@ class IOStats:
         )
         samples, chunks = self._timeline_state
         snapshot._timeline_state = (list(samples), list(chunks))
+        snapshot._digest = self._digest
         return snapshot
 
     def merged_with(self, other: "IOStats") -> "IOStats":
@@ -187,3 +260,4 @@ class IOStats:
         self.remote_bytes = 0.0
         self.remote_requests = 0
         self._timeline_state = ([], [])
+        self._digest = None

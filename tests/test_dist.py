@@ -31,6 +31,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -221,6 +222,55 @@ class TestWorkerAgent:
             reply = recv_frame(sock)
             assert reply["type"] == "error"
             assert "protocol" in reply["error"]
+        finally:
+            sock.close()
+
+    def test_previous_protocol_version_is_refused(self, agent):
+        """A peer still on the hex-timeline record form is refused at
+        hello, before any record frame could be misparsed."""
+        sock = socket.create_connection(agent.address, timeout=5)
+        try:
+            send_frame(sock, {"type": "hello",
+                              "protocol": DIST_PROTOCOL_VERSION - 1})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert "protocol mismatch" in reply["error"]
+        finally:
+            sock.close()
+
+    @staticmethod
+    def _dist_threads():
+        return [t for t in threading.enumerate()
+                if t.name.startswith("repro-dist-") and t.is_alive()]
+
+    def test_close_of_an_idle_agent_is_prompt_and_leaks_no_threads(self):
+        """Regression: closing the listener did not wake the thread blocked
+        in accept(), so close() sat out its 5 s join and leaked it."""
+        before = set(self._dist_threads())
+        worker = DistWorker().start()
+        time.sleep(0.3)
+        started = time.monotonic()
+        worker.close()
+        assert time.monotonic() - started < 0.5
+        assert set(self._dist_threads()) <= before
+
+    def test_close_drops_idle_connections(self):
+        before = set(self._dist_threads())
+        worker = DistWorker().start()
+        sock = socket.create_connection(worker.address, timeout=5)
+        try:
+            send_frame(sock, {"type": "ping"})
+            assert recv_frame(sock)["type"] == "pong"
+            started = time.monotonic()
+            worker.close()
+            assert time.monotonic() - started < 0.5
+            deadline = time.monotonic() + 2.0
+            while (set(self._dist_threads()) - before
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert set(self._dist_threads()) <= before
+            with pytest.raises(ConnectionError):
+                recv_frame(sock)
         finally:
             sock.close()
 

@@ -316,6 +316,36 @@ class TestSupervisedPoolRecovery:
         assert respawns_after_first >= 1
         assert pool.respawns >= respawns_after_first
 
+    def test_kills_are_sent_holding_the_result_write_lock(self,
+                                                         monkeypatch):
+        """Regression: a worker SIGKILLed half-way through writing its
+        result left a partial message that blocked the executor's result
+        reader forever, so the recovery tests above hung in about one
+        run of four.  A kill now waits for the result-queue write lock."""
+        import os
+
+        with SupervisedExecutor(2) as executor:
+            assert sorted(executor.run_chunks(sorted, [[2, 1], [4, 3]])) \
+                == [1, 2, 3, 4]
+            lock = executor._executor._result_queue._wlock
+            held_at_kill = []
+            real_kill = os.kill
+
+            def spying_kill(pid, sig):
+                free = lock.acquire(False)
+                if free:
+                    lock.release()
+                held_at_kill.append(not free)
+                real_kill(pid, sig)
+
+            monkeypatch.setattr(os, "kill", spying_kill)
+            assert executor.kill_one_worker() is not None
+            monkeypatch.undo()
+            assert held_at_kill == [True]
+            assert lock.acquire(True, 1.0)  # released after the kill
+            lock.release()
+            assert sorted(executor.run_chunks(sorted, [[6, 5]])) == [5, 6]
+
     def test_exhausted_respawn_budget_escalates_to_sweep_point_error(self):
         injector = FaultInjector(FaultPlan(worker_kills=(1,)))
         with PersistentPool(2, chunksize=1, max_respawns=0,

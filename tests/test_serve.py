@@ -196,6 +196,15 @@ class TestEndpoints:
         assert payload["requests"] >= 1
         assert payload["latency"]["count"] >= 1
 
+    def test_protocol_mismatch_is_refused(self, client, monkeypatch):
+        """A daemon of another protocol version (e.g. the hex-timeline
+        record form) is refused before any record is decoded."""
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "PROTOCOL_VERSION", 1)
+        with pytest.raises(ConfigurationError, match="protocol mismatch"):
+            client.whatif(_runner(), _points()[:1])
+
 
 class TestByteIdentity:
     def test_served_equals_serial(self, client):

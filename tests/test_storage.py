@@ -1,5 +1,7 @@
 """Unit tests for storage devices, the file store, and I/O accounting."""
 
+import hashlib
+
 import pytest
 
 from repro import units
@@ -115,6 +117,90 @@ class TestIOStats:
             assert all(len(r) == expected_len for r in results)
             assert all(r == results[0] for r in results)
             assert len(stats.timeline) == expected_len
+
+    @staticmethod
+    def _reference_digest(samples):
+        digest = hashlib.blake2b(digest_size=16)
+        for t, b in samples:
+            digest.update(f"{t.hex()}:{b.hex()};".encode("ascii"))
+        return digest.hexdigest()
+
+    def test_digest_hashes_hex_samples_without_materialising(self):
+        stats = IOStats()
+        stats.record_disk(4.0, at_time=0.5)
+        stats.record_disk_bulk([1.0, 2.0], at_times=[1.0, 2.0])
+        expected = self._reference_digest([(0.5, 4.0), (1.0, 5.0),
+                                           (2.0, 7.0)])
+        assert stats.timeline_digest == expected
+        assert stats.timeline_len == 3
+        assert len(stats._timeline_state[1]) == 1  # chunk still pending
+        assert IOStats().timeline_digest == self._reference_digest([])
+
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.record_disk(1.0, at_time=9.0),
+        lambda s: s.record_disk_bulk([1.0], at_times=[9.0]),
+        lambda s: setattr(s, "timeline", [(9.0, 1.0)]),
+        lambda s: s.reset(),
+    ], ids=["record_disk", "record_disk_bulk", "setter", "reset"])
+    def test_every_timeline_mutator_drops_the_remembered_digest(self,
+                                                                mutate):
+        stats = IOStats()
+        stats.record_disk_bulk([1.0, 2.0], at_times=[1.0, 2.0])
+        before = stats.timeline_digest
+        mutate(stats)
+        assert stats.timeline_digest == self._reference_digest(
+            stats.timeline)
+        assert stats.timeline_digest != before
+
+    def test_racing_digest_and_timeline_readers_agree(self):
+        """Concurrent store writers snapshot one finished record: readers
+        computing the digest while others materialise the timeline must
+        all see the reference digest."""
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                stats = IOStats()
+                for chunk in range(4):
+                    stats.record_disk_bulk(
+                        [1.0] * 32, at_times=[chunk + i / 32
+                                              for i in range(32)])
+                expected = self._reference_digest(stats.copy().timeline)
+                results = []
+                barrier = threading.Barrier(8)
+
+                def reader(index):
+                    barrier.wait()
+                    if index % 2:
+                        stats.timeline
+                    results.append(stats.timeline_digest)
+
+                threads = [threading.Thread(target=reader, args=(i,))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_copy_carries_the_digest_and_load_installs_one(self):
+        stats = IOStats()
+        stats.record_disk_bulk([1.0, 2.0], at_times=[1.0, 2.0])
+        digest = stats.timeline_digest
+        assert stats.copy()._digest == digest
+        times, cumulative = stats.timeline_arrays()
+        loaded = IOStats()
+        loaded.load_timeline(times, cumulative, digest="f" * 32)
+        assert loaded.timeline_digest == "f" * 32  # trusted, not rehashed
+        loaded.load_timeline(times, cumulative)
+        assert loaded.timeline_digest == digest
+        assert loaded.timeline == stats.timeline
 
 
 class TestFileStore:

@@ -24,11 +24,14 @@ parametrized ``location`` fixture:
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import pathlib
 import sqlite3
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.cache.warm_kernel import WARM_KERNEL_ENV_VAR
@@ -36,20 +39,18 @@ from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError, SweepPointError
 from repro.sim.harness import GOLDEN_GRIDS, load_golden, snapshot_diff
-from repro.sim.sweep import WORKERS_ENV_VAR, SweepPoint, SweepRecord, SweepRunner
+from repro.sim.sweep import (WORKERS_ENV_VAR, SweepPoint, SweepRecord,
+                             SweepRunner, _io_from_snapshot, _io_snapshot)
+from repro.storage.iostats import IOStats
 from repro.store import (
-    STORE_CODEC_ENV_VAR,
-    STORE_CODECS,
     STORE_ENV_VAR,
     SqliteBackend,
     SweepStore,
-    default_codec,
     migrate_store,
     resolve_store,
     source_digest,
     store_key,
 )
-from repro.store.backend import _zstd_functions
 
 SCALE = 1 / 500.0
 
@@ -282,6 +283,146 @@ class TestSnapshotRoundTrip:
         assert any(len(e.io.timeline) for e in record.run.epochs)
         with pytest.raises(ConfigurationError):
             SweepRecord.from_snapshot(record.snapshot())
+
+
+def _rewrite_snapshot(store: SweepStore, key: str, mutate) -> None:
+    """Apply ``mutate`` to ``key``'s stored record snapshot in place,
+    keeping each backend's framing (entry wrapper / zlib blob) valid."""
+    if store.backend.kind == "json":
+        entry = json.loads(_read_raw(store, key))
+        mutate(entry["record"])
+        _write_raw(store, key, json.dumps(entry).encode("utf-8"))
+        return
+    snapshot = json.loads(zlib.decompress(_read_raw(store, key)))
+    mutate(snapshot)
+    _write_raw(store, key, zlib.compress(json.dumps(snapshot).encode("utf-8")))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+#: Floats whose bits a lossy encoding would not keep: signed zero, the
+#: smallest and largest subnormals, infinities and a NaN.
+SPECIAL_SAMPLES = [(-0.0, 0.0), (5e-324, -5e-324),
+                   (2.225073858507201e-308, 1.0), (math.inf, -math.inf),
+                   (1e308, math.nan), (0.1, 1 / 3)]
+
+
+class TestTimelineEncoding:
+    """The embedded timeline is base64 float64 byte planes: every sample's
+    bits survive the store, and a damaged blob is a counted miss."""
+
+    _point = SweepPoint(model=RESNET18, loader="dali-shuffle",
+                        dataset="openimages", cache_fraction=0.5)
+
+    @pytest.mark.parametrize("samples", [[], SPECIAL_SAMPLES],
+                             ids=["empty", "special-floats"])
+    def test_store_round_trip_is_bit_exact(self, location, samples):
+        runner = _runner()
+        record = runner.run([self._point]).records[0]
+        io = record.run.epochs[0].io
+        io.timeline = samples
+        store = SweepStore(location)
+        key = store.key_for(runner, self._point)
+        store.put(key, record)
+        served = SweepStore(location).get(key, self._point)
+        assert served is not None
+        served_io = served.run.epochs[0].io
+        times, cumulative = served_io.timeline_arrays()
+        assert _bits(times) == _bits([t for t, _ in samples])
+        assert _bits(cumulative) == _bits([b for _, b in samples])
+        assert served_io.timeline_digest == io.timeline_digest
+        assert (served.snapshot(include_timeline=True)
+                == record.snapshot(include_timeline=True))
+
+    def test_mixed_samples_and_pending_chunks_round_trip(self):
+        io = IOStats()
+        io.record_disk(4.0, at_time=0.5)
+        io.record_disk_bulk([1.0, 2.0, 3.0], at_times=[1.0, 1.5, 2.0])
+        io.record_disk_bulk([5.0], at_times=[2.5])
+        samples, chunks = io._timeline_state
+        assert samples and len(chunks) == 2
+        snapshot = json.loads(json.dumps(_io_snapshot(io, True)))
+        back = _io_from_snapshot(snapshot)
+        assert back.timeline == [(0.5, 4.0), (1.0, 5.0), (1.5, 7.0),
+                                 (2.0, 10.0), (2.5, 15.0)]
+        plain = IOStats()
+        plain.timeline = back.timeline
+        assert (plain.timeline_digest == back.timeline_digest
+                == io.timeline_digest)
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:-4] + "!!!!",
+        lambda text: text[:-24],
+        lambda text: base64.b64encode(
+            base64.b64decode(text) + bytes(16)).decode("ascii"),
+        lambda text: "0x1.0p+0:0x1.0p+1",
+    ], ids=["bad-base64", "short-blob", "long-blob", "hex-text"])
+    def test_damaged_timeline_is_an_invalid_miss_then_repaired(
+            self, location, damage):
+        runner = _runner()
+        store = SweepStore(location)
+        key = store.key_for(runner, self._point)
+        runner.run([self._point], store=store)
+        intact = _read_raw(store, key)
+
+        def mutate(snapshot):
+            io = snapshot["epochs"][-1]["io"]
+            assert io["timeline_len"] > 0
+            io["timeline"] = damage(io["timeline"])
+
+        _rewrite_snapshot(store, key, mutate)
+        fresh = SweepStore(location)
+        assert fresh.get(key, self._point) is None
+        assert (fresh.invalid, fresh.misses) == (1, 1)
+
+        repair = SweepStore(location)
+        runner.run([self._point], store=repair)
+        assert (repair.misses, repair.puts) == (1, 1)
+        assert _read_raw(store, key) == intact
+
+    def test_schema_1_entry_is_a_miss(self, location, backend):
+        runner = _runner()
+        store = SweepStore(location)
+        key = store.key_for(runner, self._point)
+        runner.run([self._point], store=store)
+        if backend == "json":
+            entry = json.loads(_read_raw(store, key))
+            entry["schema"] = 1
+            _write_raw(store, key, json.dumps(entry).encode("utf-8"))
+        else:
+            con = sqlite3.connect(str(store.backend.path))
+            try:
+                con.execute("UPDATE entries SET schema_version = 1")
+                con.commit()
+            finally:
+                con.close()
+        fresh = SweepStore(location)
+        assert fresh.get(key, self._point) is None
+        assert (fresh.hits, fresh.misses) == (0, 1)
+
+    def test_rehydrated_timeline_and_digest_are_real(self):
+        """Snapshot equality alone could pass by echoing the stored digest:
+        the samples must match one for one, the digest must recompute to
+        the stored value, and a later mutation must move it."""
+        record = _runner().run([self._point]).records[0]
+        snapshot = record.snapshot(include_timeline=True)
+        rehydrated = SweepRecord.from_snapshot(snapshot)
+        pairs = list(zip(record.run.epochs, rehydrated.run.epochs,
+                         snapshot["epochs"]))
+        assert any(original.io.timeline_len for original, _, _ in pairs)
+        for original, back, stored in pairs:
+            assert back.io.timeline == original.io.timeline
+            stored_digest = stored["io"]["timeline_digest"]
+            recomputed = back.io.copy()
+            recomputed.timeline = recomputed.timeline  # drops the digest
+            assert recomputed.timeline_digest == stored_digest
+        mutated = rehydrated.run.epochs[-1].io
+        before = mutated.timeline_digest
+        mutated.record_disk(1.0, at_time=1e9)
+        assert mutated.timeline_digest != before
+        assert (rehydrated.snapshot() != record.snapshot())
 
 
 class TestHitMissFlow:
@@ -550,6 +691,21 @@ class TestMigrate:
             assert (back.entry_path(key).read_bytes()
                     == src.entry_path(key).read_bytes())
 
+    def test_sqlite_json_sqlite_round_trip_is_bit_identical(self, tmp_path):
+        """sqlite -> json -> sqlite: the rehydrated snapshots are
+        bit-identical."""
+        src = SweepStore(f"sqlite://{tmp_path / 'src.db'}")
+        runner = _runner()
+        runner.run(_points(), store=src)
+        middle = SweepStore(tmp_path / "json-middle")
+        assert migrate_store(src, middle) == 2
+        dest = SweepStore(f"sqlite://{tmp_path / 'dest.db'}")
+        assert migrate_store(middle, dest) == 2
+        for point in _points():
+            key = src.key_for(runner, point)
+            assert (dest.get(key, point).snapshot(include_timeline=True)
+                    == src.get(key, point).snapshot(include_timeline=True))
+
     def test_migrated_store_serves_warm_hits(self, tmp_path):
         """A migrated store is a *warm* store: zero simulations."""
         src = SweepStore(tmp_path / "json-src")
@@ -623,94 +779,35 @@ class TestGoldenGridsThroughStore:
 
 
 class TestPayloadCodec:
-    """The SQLite backend's pluggable payload codec: zstd when a module
-    provides it, zlib otherwise, always validated at construction and
-    always read back by each entry's recorded codec column."""
+    """SQLite payloads are zlib-packed and the ``codec`` column records it;
+    a row naming any other codec is unusable, i.e. a counted miss."""
 
-    def _sqlite(self, tmp_path, **kwargs) -> SweepStore:
-        return SweepStore(SqliteBackend(tmp_path / "store.db", **kwargs))
+    def test_puts_record_the_zlib_codec(self, tmp_path):
+        store = SweepStore(f"sqlite://{tmp_path / 'store.db'}")
+        _runner().run(_points(), store=store)
+        con = sqlite3.connect(str(store.backend.path))
+        try:
+            codecs = {c for (c,) in con.execute("SELECT codec FROM entries")}
+        finally:
+            con.close()
+        assert codecs == {"zlib"}
 
-    def test_default_codec_is_valid_and_used(self, tmp_path):
-        store = self._sqlite(tmp_path)
-        assert default_codec() in STORE_CODECS
-        assert store.backend.codec == default_codec()
-
-    def test_environment_variable_forces_the_codec(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv(STORE_CODEC_ENV_VAR, "zlib")
-        assert self._sqlite(tmp_path).backend.codec == "zlib"
-
-    def test_explicit_argument_wins_over_the_environment(self, tmp_path,
-                                                         monkeypatch):
-        monkeypatch.setenv(STORE_CODEC_ENV_VAR, "definitely-not-a-codec")
-        # The env value would raise; the explicit argument pre-empts it.
-        assert self._sqlite(tmp_path, codec="zlib").backend.codec == "zlib"
-
-    @pytest.mark.parametrize("source", ["argument", "environment"])
-    def test_unknown_codec_fails_at_construction(self, tmp_path,
-                                                 monkeypatch, source):
-        if source == "environment":
-            monkeypatch.setenv(STORE_CODEC_ENV_VAR, "lz5")
-            with pytest.raises(ConfigurationError, match="unknown store codec"):
-                self._sqlite(tmp_path)
-        else:
-            with pytest.raises(ConfigurationError, match="unknown store codec"):
-                self._sqlite(tmp_path, codec="lz5")
-
-    @pytest.mark.skipif(_zstd_functions() is not None,
-                        reason="a zstd module is available here")
-    def test_unavailable_zstd_fails_at_construction_not_in_put(
-            self, tmp_path):
-        """Requesting zstd with no module must raise while building the
-        backend — a put-time failure would be absorbed by the store's
-        degradation ladder and silently flip the store read-only."""
-        with pytest.raises(ConfigurationError, match="no module provides"):
-            self._sqlite(tmp_path, codec="zstd")
-
-    @pytest.mark.skipif(_zstd_functions() is None,
-                        reason="no zstd module in this interpreter")
-    def test_zstd_entries_round_trip_bit_identically(self, tmp_path):
-        store = self._sqlite(tmp_path, codec="zstd")
+    def test_other_codec_rows_are_counted_invalid_misses(self, tmp_path):
+        store = SweepStore(f"sqlite://{tmp_path / 'store.db'}")
         runner = _runner()
-        runner.run(_points(), store=store)
-        warm = SweepStore(SqliteBackend(tmp_path / "store.db", codec="zstd"))
-        for point in _points():
-            key = store.key_for(runner, point)
-            a = store.get(key, point).snapshot(include_timeline=True)
-            b = warm.get(key, point).snapshot(include_timeline=True)
-            assert a == b
-
-    @pytest.mark.skipif(_zstd_functions() is None,
-                        reason="no zstd module in this interpreter")
-    def test_old_zlib_entries_stay_readable_under_a_zstd_writer(
-            self, tmp_path):
-        """Reads go by each entry's recorded codec column, so a store
-        written before the codec switch keeps serving."""
-        runner = _runner()
-        zlib_store = self._sqlite(tmp_path, codec="zlib")
-        runner.run(_points(), store=zlib_store)
-        mixed = SweepStore(SqliteBackend(tmp_path / "store.db", codec="zstd"))
-        for point in _points():
-            key = zlib_store.key_for(runner, point)
-            assert (mixed.get(key, point).snapshot(include_timeline=True)
-                    == zlib_store.get(key, point)
-                    .snapshot(include_timeline=True))
-
-    def test_migrate_round_trips_across_codecs(self, tmp_path, monkeypatch):
-        """sqlite -> json -> sqlite under whatever codec is configured:
-        the rehydrated snapshots are bit-identical."""
-        monkeypatch.setenv(STORE_CODEC_ENV_VAR, "zlib")
-        src = SweepStore(f"sqlite://{tmp_path / 'src.db'}")
-        runner = _runner()
-        runner.run(_points(), store=src)
-        middle = SweepStore(tmp_path / "json-middle")
-        assert migrate_store(src, middle) == 2
-        dest = SweepStore(f"sqlite://{tmp_path / 'dest.db'}")
-        assert migrate_store(middle, dest) == 2
-        for point in _points():
-            key = src.key_for(runner, point)
-            assert (dest.get(key, point).snapshot(include_timeline=True)
-                    == src.get(key, point).snapshot(include_timeline=True))
+        point = _points()[0]
+        runner.run([point], store=store)
+        key = store.key_for(runner, point)
+        con = sqlite3.connect(str(store.backend.path))
+        try:
+            con.execute("UPDATE entries SET codec = 'zstd' WHERE key = ?",
+                        (key,))
+            con.commit()
+        finally:
+            con.close()
+        reader = SweepStore(f"sqlite://{tmp_path / 'store.db'}")
+        assert reader.get(key, point) is None
+        assert (reader.invalid, reader.misses) == (1, 1)
 
 
 class TestSqliteGcReclaimsDisk:
