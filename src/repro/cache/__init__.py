@@ -11,9 +11,12 @@ from repro.cache.partitioned import (
 )
 from repro.cache.stats import CacheStats
 from repro.cache.warm_kernel import (
+    TRAJECTORY_MEMO_MAX_BYTES,
     WARM_KERNEL_ENV_VAR,
     SegmentedLRUResult,
+    TrajectoryMemo,
     simulate_segmented_lru,
+    trajectory_key,
 )
 
 __all__ = [
@@ -28,4 +31,7 @@ __all__ = [
     "SegmentedLRUResult",
     "simulate_segmented_lru",
     "WARM_KERNEL_ENV_VAR",
+    "TrajectoryMemo",
+    "trajectory_key",
+    "TRAJECTORY_MEMO_MAX_BYTES",
 ]

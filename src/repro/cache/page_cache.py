@@ -33,7 +33,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.cache.base import Cache
-from repro.cache.warm_kernel import simulate_segmented_lru, warm_kernel_enabled
+from repro.cache.warm_kernel import (
+    SegmentedLRUResult,
+    active_trajectory_memo,
+    simulate_segmented_lru,
+    trajectory_key,
+    warm_kernel_enabled,
+)
 from repro.exceptions import ConfigurationError
 
 
@@ -309,18 +315,15 @@ class PageCache(Cache):
         (``REPRO_WARM_KERNEL=0``) or cannot certify float-exactness
         (degenerate page sizes, stored sizes that are not page multiples);
         side effects are all-or-nothing, as for the other bulk paths.
+
+        Inside an active :class:`~repro.cache.warm_kernel.TrajectoryMemo`
+        scope an identical earlier replay is reused instead of re-run; it
+        is committed below exactly as a fresh result would be (the
+        returned mask is then read-only).
         """
         if not warm_kernel_enabled():
             return None
-        result = simulate_segmented_lru(
-            item_ids, sizes,
-            capacity_bytes=self._capacity,
-            page_bytes=self._page_bytes,
-            active_limit_bytes=self._capacity * self._active_target,
-            inactive=self._inactive, active=self._active,
-            inactive_bytes=self._inactive_bytes,
-            active_bytes=self._active_bytes,
-            prior_hit_bytes=self._stats.hit_bytes)
+        result = self._replay(item_ids, sizes)
         if result is None:
             return None
         page = self._page_bytes
@@ -341,6 +344,28 @@ class PageCache(Cache):
         self._stats.rejected += result.rejected
         self._stats.hit_bytes += float(result.hit_pages) * page
         return result.hit_mask
+
+    def _replay(self, item_ids: np.ndarray,
+                sizes: np.ndarray) -> Optional[SegmentedLRUResult]:
+        """The kernel's replay of a stream from the current state, memoised
+        by content address when a trajectory memo is active."""
+        params = dict(
+            capacity_bytes=self._capacity,
+            page_bytes=self._page_bytes,
+            active_limit_bytes=self._capacity * self._active_target,
+            inactive=self._inactive, active=self._active,
+            inactive_bytes=self._inactive_bytes,
+            active_bytes=self._active_bytes,
+            prior_hit_bytes=self._stats.hit_bytes)
+        memo = active_trajectory_memo()
+        if memo is None:
+            return simulate_segmented_lru(item_ids, sizes, **params)
+        key = trajectory_key(item_ids, sizes, **params)
+        found, result = memo.get(key)
+        if not found:
+            result = simulate_segmented_lru(item_ids, sizes, **params)
+            memo.put(key, result)
+        return result
 
     def _warm_epoch_hits(self, item_ids: np.ndarray,
                          sizes: np.ndarray) -> np.ndarray:

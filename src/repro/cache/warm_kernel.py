@@ -43,15 +43,28 @@ per-item walk bit for bit.  The walk itself stays in
 The kernel is pure: it reads the cache's state and returns a
 :class:`SegmentedLRUResult` without touching the cache, so callers get the
 all-or-nothing side-effect contract of the other bulk paths for free.
+
+Purity also makes a replay content-addressable: the result is a function
+of the stream, the sizes, the cache parameters and the initial lists only
+— never of the model that drives the access stream.  :class:`TrajectoryMemo`
+keys results by a digest of exactly those inputs (:func:`trajectory_key`),
+so the models of an HP-search or cache sweep that share one page-cache
+trajectory replay it once.  A memo is consulted only inside its
+:meth:`TrajectoryMemo.scope` (a ``contextvars`` scope the sweep runner
+enters per point); outside any scope every call replays afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import math
 import os
+import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -500,3 +513,149 @@ def simulate_segmented_lru(
         inactive=final_inactive,
         active=final_active,
     )
+
+
+#: Byte cap of one :class:`TrajectoryMemo`: the arrays of its cached results
+#: plus a fixed per-entry charge.  A production-scale Fig. 17 replay (~1.1M
+#: accesses) holds ~2 MB, so the cap keeps dozens of trajectories while
+#: bounding what a long-lived pool worker or dist agent retains.
+TRAJECTORY_MEMO_MAX_BYTES = 64 * 1024 * 1024
+
+#: Bytes charged per memo entry on top of its arrays (digest, result object,
+#: dict slot) — all that a memoised decline (``None``) costs.
+_ENTRY_OVERHEAD_BYTES = 256
+
+_ACTIVE_MEMO: "contextvars.ContextVar[Optional[TrajectoryMemo]]" = (
+    contextvars.ContextVar("repro_trajectory_memo", default=None))
+
+
+def _param_text(name: str, value: float) -> bytes:
+    # float.hex is exact; any other numeric type keeps its own exact repr,
+    # so an int budget and its float twin key apart (a miss, never a
+    # wrong hit).
+    text = value.hex() if isinstance(value, float) else repr(value)
+    return f"{name}={text};".encode()
+
+
+def trajectory_key(
+        item_ids: Sequence[int], sizes: Sequence[float], *,
+        capacity_bytes: float, page_bytes: float, active_limit_bytes: float,
+        inactive: "OrderedDict[int, float]", active: "OrderedDict[int, float]",
+        inactive_bytes: float, active_bytes: float,
+        prior_hit_bytes: float = 0.0) -> bytes:
+    """BLAKE2b-128 content address of one :func:`simulate_segmented_lru` input.
+
+    Digests everything the kernel reads, in the form it reads it: the
+    stream ids and sizes as int64/float64 bytes (with their shapes), every
+    scalar parameter exactly (``float.hex``), and both initial lists' keys
+    and stored sizes in list order.  Equal keys therefore mean equal kernel
+    inputs, and so equal results.
+    """
+    ids = np.ascontiguousarray(item_ids, dtype=np.int64)
+    size_arr = np.ascontiguousarray(sizes, dtype=np.float64)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(f"{ids.shape};{size_arr.shape};".encode())
+    digest.update(ids)
+    digest.update(size_arr)
+    for name, value in (("capacity_bytes", capacity_bytes),
+                        ("page_bytes", page_bytes),
+                        ("active_limit_bytes", active_limit_bytes),
+                        ("inactive_bytes", inactive_bytes),
+                        ("active_bytes", active_bytes),
+                        ("prior_hit_bytes", prior_hit_bytes)):
+        digest.update(_param_text(name, value))
+    for name, state in (("inactive", inactive), ("active", active)):
+        digest.update(f"{name}:{len(state)};".encode())
+        digest.update(np.fromiter(state.keys(), np.int64, count=len(state)))
+        digest.update(np.fromiter(state.values(), np.float64,
+                                  count=len(state)))
+    return digest.digest()
+
+
+class TrajectoryMemo:
+    """Byte-capped LRU of segmented-LRU replays, keyed by :func:`trajectory_key`.
+
+    Declines (``None``) are memoised too, so a stream the kernel cannot
+    certify is not re-examined either.  Cached results are shared between
+    callers, so their arrays are made read-only on insertion.  All methods
+    take one lock: threads serving concurrent requests may share a memo
+    (two threads missing the same key both replay it; the results are
+    identical, and the later one replaces the earlier).
+
+    The capacity is :data:`TRAJECTORY_MEMO_MAX_BYTES`, read when the memo
+    is built: least-recently-used entries are evicted once the cached
+    arrays plus per-entry overhead exceed it, and a single result larger
+    than the cap is never stored.
+
+    Attributes:
+        hits / misses: Lookups answered from the memo / not, over its life.
+    """
+
+    def __init__(self) -> None:
+        self._max_bytes = TRAJECTORY_MEMO_MAX_BYTES
+        # key -> (result, charged bytes), least recently used first
+        self._entries: "OrderedDict[bytes, Tuple[Optional[SegmentedLRUResult], int]]" = (
+            OrderedDict())
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes currently charged (never above the cap)."""
+        return self._bytes
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._entries
+
+    def get(self, key: bytes) -> Tuple[bool, Optional[SegmentedLRUResult]]:
+        """``(found, result)``; a hit refreshes the entry's recency."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return False, None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return True, entry[0]
+
+    def put(self, key: bytes, result: Optional[SegmentedLRUResult]) -> None:
+        """Store one replay (read-only from here on), evicting LRU-first."""
+        arrays = (() if result is None
+                  else (result.hit_mask,) + result.inactive + result.active)
+        size = _ENTRY_OVERHEAD_BYTES + sum(array.nbytes for array in arrays)
+        if size > self._max_bytes:
+            return
+        for array in arrays:
+            array.setflags(write=False)
+        with self._lock:
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._bytes -= previous[1]
+            self._entries[key] = (result, size)
+            self._bytes += size
+            while self._bytes > self._max_bytes:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
+
+    @contextlib.contextmanager
+    def scope(self) -> Iterator["TrajectoryMemo"]:
+        """Make this the memo :func:`active_trajectory_memo` returns.
+
+        A ``contextvars`` scope: it covers the current thread (or task)
+        only, nests, and is restored on exit even when the body raises.
+        """
+        token = _ACTIVE_MEMO.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE_MEMO.reset(token)
+
+
+def active_trajectory_memo() -> Optional[TrajectoryMemo]:
+    """The memo of the innermost active :meth:`TrajectoryMemo.scope`, if any."""
+    return _ACTIVE_MEMO.get()

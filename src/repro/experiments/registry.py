@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Dict, List
 
+from repro.cache.warm_kernel import TrajectoryMemo
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     appendix_analysis,
@@ -103,5 +104,13 @@ def accepts_kwarg(experiment_id: str, name: str) -> bool:
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    """Run one experiment by id, forwarding keyword overrides."""
-    return get_experiment(experiment_id)(**kwargs)
+    """Run one experiment by id, forwarding keyword overrides.
+
+    The experiment runs inside a fresh
+    :class:`~repro.cache.warm_kernel.TrajectoryMemo` scope, so each
+    distinct page-cache trajectory is replayed once per experiment — across
+    all its sweep runners and direct scenario calls — and the memo dies
+    with the call: a second run of the same experiment replays afresh.
+    """
+    with TrajectoryMemo().scope():
+        return get_experiment(experiment_id)(**kwargs)

@@ -7,19 +7,23 @@ golden-regression tests (``tests/test_golden_sweeps.py``), the property
 tests (``tests/test_sweep_parallel.py``) and the regeneration tool
 (``tools/make_golden.py``) use to state that promise:
 
-* :data:`GOLDEN_GRIDS` — seven small, fast reference grids: a Fig. 3 cache
+* :data:`GOLDEN_GRIDS` — eight small, fast reference grids: a Fig. 3 cache
   sweep (single-server training points), a Fig. 9(b) distributed grid, a
   Tab. 7 HP-search grid, a warm multi-epoch Fig. 3 grid, a
-  thrashing-regime Fig. 9(d) grid (the last two drive the segmented-LRU
-  warm kernel, and are additionally asserted byte-identical with the
-  kernel disabled via :data:`~repro.cache.warm_kernel.WARM_KERNEL_ENV_VAR`),
-  and two failure-scenario grids — crash/re-warm plus multi-tenant HP
+  thrashing-regime Fig. 9(d) grid, a Fig. 17 grid whose models share one
+  thrashing trajectory (these three drive the segmented-LRU warm kernel,
+  and are additionally asserted byte-identical with the kernel disabled
+  via :data:`~repro.cache.warm_kernel.WARM_KERNEL_ENV_VAR`), and two
+  failure-scenario grids — crash/re-warm plus multi-tenant HP
   (``fig_crash_small``) and elastic membership plus stragglers
   (``fig_elastic_small``) — pinning the deterministic ``FailureEvent``
   traces emitted by :class:`~repro.sim.failures.FailureScenario`;
 * :func:`run_golden_grid` — build the grid's runner, run it (optionally
   through the worker pool) and return the byte-exact
   :meth:`~repro.sim.sweep.SweepResult.snapshot`;
+* :func:`write_golden` — regenerate a committed snapshot, simulating
+  every point on its own fresh runner so that no committed byte comes
+  from a :class:`~repro.cache.warm_kernel.TrajectoryMemo` hit;
 * :func:`snapshot_to_json` / :func:`load_golden` — the canonical on-disk
   form committed under ``tests/golden/``.
 
@@ -34,11 +38,12 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.cache.warm_kernel import TrajectoryMemo
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.cluster.server import ServerConfig
-from repro.compute.model_zoo import ALEXNET, RESNET18
+from repro.compute.model_zoo import ALEXNET, MOBILENET_V2, RESNET18
 from repro.exceptions import ConfigurationError
-from repro.sim.sweep import SweepPoint, SweepRunner
+from repro.sim.sweep import SweepPoint, SweepResult, SweepRunner
 
 #: Dataset scale of the golden grids — small enough that each grid runs in
 #: well under a second serially, large enough for dozens of minibatches.
@@ -108,6 +113,17 @@ def _fig9d_points() -> List[SweepPoint]:
         cache_fractions=(0.35, 0.65), dataset="imagenet-1k", num_jobs=4)
 
 
+def _fig17_points() -> List[SweepPoint]:
+    """Small Fig. 17 slice: two models with one batch size interleave the
+    same stream over a thrashing page cache, so their baseline points
+    share every warm-kernel trajectory (one runner replays each once).
+    No point repeats one of another grid (``fig9d_small`` has AlexNet),
+    so the grids can share one store."""
+    return SweepRunner.grid(
+        models=[RESNET18, MOBILENET_V2], loaders=["hp-baseline", "hp-coordl"],
+        cache_fractions=(0.35,), dataset="imagenet-1k", num_jobs=4)
+
+
 def _fig_crash_points() -> List[SweepPoint]:
     """Crash/re-warm slice: CoorDL jobs losing workers mid-training, plus
     two multi-tenant HP points (shared page cache under 1 vs 4 campaigns)."""
@@ -155,6 +171,7 @@ GOLDEN_GRIDS: Dict[str, GoldenGrid] = {
         GoldenGrid("tab7_small", config_ssd_v100, _tab7_points),
         GoldenGrid("fig3_warm", config_ssd_v100, _fig3_warm_points),
         GoldenGrid("fig9d_small", config_ssd_v100, _fig9d_points),
+        GoldenGrid("fig17_small", config_ssd_v100, _fig17_points),
         GoldenGrid("fig_crash_small", config_ssd_v100, _fig_crash_points),
         GoldenGrid("fig_elastic_small", config_hdd_1080ti, _fig_elastic_points),
     )
@@ -169,13 +186,17 @@ def run_golden_grid(name: str, workers: int = 0,
     :data:`~repro.cache.warm_kernel.WARM_KERNEL_ENV_VAR` environment
     variable (which spawned sweep workers inherit).
     """
+    grid = _golden_grid(name)
+    runner = grid.build_runner(fast_path=fast_path)
+    return runner.run(grid.points(), workers=workers).snapshot()
+
+
+def _golden_grid(name: str) -> GoldenGrid:
     try:
-        grid = GOLDEN_GRIDS[name]
+        return GOLDEN_GRIDS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown golden grid {name!r}; known: {sorted(GOLDEN_GRIDS)}") from None
-    runner = grid.build_runner(fast_path=fast_path)
-    return runner.run(grid.points(), workers=workers).snapshot()
 
 
 def snapshot_to_json(snapshot: Dict[str, Any]) -> str:
@@ -201,11 +222,24 @@ def load_golden(name: str, directory: pathlib.Path) -> Dict[str, Any]:
 
 
 def write_golden(name: str, directory: pathlib.Path) -> pathlib.Path:
-    """Regenerate one committed snapshot (serial run); returns its path."""
+    """Regenerate one committed snapshot; returns its path.
+
+    Every point is simulated serially on its own fresh runner (with its own
+    empty trajectory memo) and without a store, so the committed bytes are
+    fresh replays only; the golden tests then hold shared-runner and pooled
+    runs, whose points do hit the memo, to them.
+    """
+    grid = _golden_grid(name)
+    records = []
+    for point in grid.points():
+        runner = SweepRunner(grid.server_factory, scale=GOLDEN_SCALE,
+                             seed=GOLDEN_SEED,
+                             trajectory_memo=TrajectoryMemo())
+        records.extend(runner.run([point], workers=0, store=False))
     path = golden_path(name, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(snapshot_to_json(run_golden_grid(name)))
+        handle.write(snapshot_to_json(SweepResult(records).snapshot()))
     return path
 
 

@@ -68,7 +68,11 @@ import numpy as np
 if TYPE_CHECKING:  # repro.store imports this module; annotation-only here
     from repro.store import PersistentPool, StoreArg
 
-from repro.cache.warm_kernel import warm_kernel_enabled
+from repro.cache.warm_kernel import (
+    TrajectoryMemo,
+    active_trajectory_memo,
+    warm_kernel_enabled,
+)
 from repro.cluster.server import ServerConfig
 from repro.compute.model_zoo import ModelSpec, get_model
 from repro.datasets.catalog import get_dataset_spec
@@ -813,6 +817,18 @@ class SweepRunner:
             rematerialising datasets across successive ``run()`` calls and
             runner configurations.  ``None`` keeps a private per-runner
             cache (the default, and the previous behaviour).
+        trajectory_memo: Optional externally-owned
+            :class:`~repro.cache.warm_kernel.TrajectoryMemo`.  Every point
+            simulates inside its scope, so points whose page-cache
+            trajectories coincide (the models of one HP-search or cache
+            sweep) replay each once.  Keys are content addresses of the
+            kernel input, so one memo can be shared across runners — which
+            is how pool workers and dist agents keep theirs across
+            ``run()`` calls.  ``None`` adopts the memo active where the
+            runner is built (an experiment run through
+            :func:`repro.experiments.registry.run_experiment` scopes one
+            for all its runners), else a private memo that lives as long
+            as the runner does.
     """
 
     def __init__(self, server_factory: Callable[..., ServerConfig], *,
@@ -821,7 +837,8 @@ class SweepRunner:
                  dataset_cache: Optional[Dict[Tuple[str, int, float],
                                               SyntheticDataset]] = None,
                  sampler_cache: Optional[Dict[Tuple[int, int],
-                                              Sampler]] = None) -> None:
+                                              Sampler]] = None,
+                 trajectory_memo: Optional[TrajectoryMemo] = None) -> None:
         self._server_factory = server_factory
         self._scale = scale
         self._seed = seed
@@ -829,6 +846,10 @@ class SweepRunner:
         self._fast_path = fast_path
         self._datasets = {} if dataset_cache is None else dataset_cache
         self._samplers = {} if sampler_cache is None else sampler_cache
+        if trajectory_memo is None:
+            trajectory_memo = active_trajectory_memo()
+        self._trajectories = (TrajectoryMemo() if trajectory_memo is None
+                              else trajectory_memo)
 
     @staticmethod
     def grid(models: Sequence[ModelSpec], loaders: Sequence[str],
@@ -1195,6 +1216,10 @@ class SweepRunner:
             pool.close(drain=False)
 
     def _run_point(self, point: SweepPoint) -> SweepRecord:
+        with self._trajectories.scope():
+            return self._simulate_point(point)
+
+    def _simulate_point(self, point: SweepPoint) -> SweepRecord:
         if point.is_hp_search:
             return self._run_hp_point(point)
         if point.is_distributed:

@@ -14,7 +14,10 @@ what-if querying.  :class:`PersistentPool` amortises all three:
   of them share module-level dataset and sampler memo dicts keyed by
   ``(dataset name, seed, scale)`` / ``(dataset size, sampling seed)``, so
   a dataset is materialised at most once per worker process no matter how
-  many runs or runner configurations it serves.
+  many runs or runner configurations it serves; likewise one byte-capped
+  :class:`~repro.cache.warm_kernel.TrajectoryMemo` serves every runner, so
+  a page-cache trajectory the worker already replayed is not replayed
+  again in a later run.
 
 Tasks carry the pickled runner spec (a function reference plus four
 scalars), so the pool itself is configuration-free and one pool can serve
@@ -54,6 +57,7 @@ import os
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cache.warm_kernel import TrajectoryMemo
 from repro.exceptions import (
     ConfigurationError,
     SweepPointError,
@@ -85,6 +89,8 @@ from repro.sim.sweep import (
 _WORKER_RUNNERS: Dict[tuple, SweepRunner] = {}
 _SHARED_DATASETS: Dict[tuple, object] = {}
 _SHARED_SAMPLERS: Dict[tuple, object] = {}
+# Content-addressed and byte-capped, so one memo serves every spec safely.
+_SHARED_TRAJECTORIES = TrajectoryMemo()
 
 
 def _worker_runner(spec: tuple) -> SweepRunner:
@@ -95,7 +101,8 @@ def _worker_runner(spec: tuple) -> SweepRunner:
         runner = SweepRunner(server_factory, scale=scale, seed=seed,
                              queue_depth=queue_depth, fast_path=fast_path,
                              dataset_cache=_SHARED_DATASETS,
-                             sampler_cache=_SHARED_SAMPLERS)
+                             sampler_cache=_SHARED_SAMPLERS,
+                             trajectory_memo=_SHARED_TRAJECTORIES)
         _WORKER_RUNNERS[spec] = runner
     return runner
 
@@ -119,10 +126,12 @@ def _run_pooled_chunk(chunk: Sequence[Tuple[tuple, int, SweepPoint]]):
     return [_run_pooled_point(task) for task in chunk]
 
 
-def _probe_worker(_: int) -> Tuple[int, int, int, int]:
-    """Report (pid, runners, datasets, samplers) cached in this worker."""
+def _probe_worker(_: int) -> Tuple[int, ...]:
+    """Report (pid, runners, datasets, samplers, trajectory entries,
+    trajectory bytes, trajectory hits) cached in this worker."""
     return (os.getpid(), len(_WORKER_RUNNERS), len(_SHARED_DATASETS),
-            len(_SHARED_SAMPLERS))
+            len(_SHARED_SAMPLERS), len(_SHARED_TRAJECTORIES),
+            _SHARED_TRAJECTORIES.nbytes, _SHARED_TRAJECTORIES.hits)
 
 
 def _probe_chunk(chunk: Sequence[int]):
@@ -265,20 +274,21 @@ class PersistentPool:
             _raise_lowest_failure(failures, indexed_points)
         return ran
 
-    def probe(self) -> Dict[int, Tuple[int, int, int]]:
+    def probe(self) -> Dict[int, Tuple[int, ...]]:
         """Sample the workers' cache sizes, by pid.
 
-        Maps every *reached* worker pid to its (runner, dataset, sampler)
-        cache sizes.  Probing sends one tiny task per worker slot times
-        four; scheduling decides which workers answer, so treat the result
-        as a sample — the reuse tests assert over the union, not coverage.
+        Maps every *reached* worker pid to its (runners, datasets,
+        samplers, trajectory entries, trajectory bytes, trajectory hits):
+        the three substrate cache sizes, then the size, charged bytes and
+        lifetime hits of its shared
+        :class:`~repro.cache.warm_kernel.TrajectoryMemo`.  Probing sends
+        one tiny task per worker slot times four; scheduling decides which
+        workers answer, so treat the result as a sample — the reuse tests
+        assert over the union, not coverage.
         """
         chunks = [[slot] for slot in range(self._workers * 4)]
-        sizes: Dict[int, Tuple[int, int, int]] = {}
-        for pid, runners, datasets, samplers in self._supervisor.run_chunks(
-                _probe_chunk, chunks):
-            sizes[pid] = (runners, datasets, samplers)
-        return sizes
+        return {pid: tuple(sizes) for pid, *sizes
+                in self._supervisor.run_chunks(_probe_chunk, chunks)}
 
     def close(self, drain: bool = True) -> None:
         """Shut the workers down (idempotent); the pool can be rebuilt.

@@ -4,12 +4,16 @@ Each committed file under ``tests/golden/`` is the byte-exact snapshot
 (:meth:`~repro.sim.sweep.SweepResult.snapshot`, ``float.hex`` floats) of a
 small reference grid — Fig. 3 (single-server training points), Fig. 9(b)
 (distributed points), Tab. 7 (HP-search points), a warm multi-epoch Fig. 3
-grid, a thrashing-regime Fig. 9(d) grid (the last two exercise the
-segmented-LRU warm kernel), and two failure-scenario grids
+grid, a thrashing-regime Fig. 9(d) grid, a Fig. 17 grid whose two models
+share every thrashing trajectory (the last three exercise the
+segmented-LRU warm kernel; in the Fig. 17 grid one runner's second model
+is served from its trajectory memo, while the committed bytes were
+simulated point by point on fresh runners), and two failure-scenario grids
 (crash/multi-tenant and elastic/straggler points, whose deterministic
-``FailureEvent`` traces are part of the committed bytes; these two are
-additionally driven cold-then-warm through both result-store backends
-with a zero-simulation warm-pass gate).  The tests assert that
+``FailureEvent`` traces are part of the committed bytes).  The Fig. 17
+and failure grids are additionally driven cold-then-warm through both
+result-store backends with a zero-simulation warm-pass gate.  The tests
+assert that
 :class:`~repro.sim.sweep.SweepRunner` reproduces every one of them
 bit-for-bit serially (``workers=0``) and through the spawn worker pool
 (``workers=1`` and ``workers=4``): parallel execution must not change a
@@ -44,11 +48,13 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GRID_NAMES = sorted(GOLDEN_GRIDS)
 
 #: Grids whose warm/thrashing epochs run through the segmented-LRU kernel.
-WARM_KERNEL_GRIDS = ("fig3_warm", "fig9d_small")
+WARM_KERNEL_GRIDS = ("fig3_warm", "fig9d_small", "fig17_small")
 
-#: Grids made of failure/elasticity points — their deterministic
-#: ``FailureEvent`` traces are part of the committed bytes.
-FAILURE_GRIDS = ("fig_crash_small", "fig_elastic_small")
+#: Grids driven cold-then-warm through both store backends: the failure/
+#: elasticity grids (their deterministic ``FailureEvent`` traces are part
+#: of the committed bytes) and the grid whose cold pass hits the
+#: trajectory memo.
+STORE_GRIDS = ("fig_crash_small", "fig_elastic_small", "fig17_small")
 
 
 @pytest.mark.parametrize("name", GRID_NAMES)
@@ -113,14 +119,14 @@ def test_fig9d_dali_side_reproduces_golden_without_fast_path():
 
 
 @pytest.mark.parametrize("backend", ["json", "sqlite"])
-@pytest.mark.parametrize("name", FAILURE_GRIDS)
-def test_failure_grid_cold_then_warm_through_store(name, backend, tmp_path,
-                                                   monkeypatch):
-    """Failure traces survive the content-addressed store bit for bit.
+@pytest.mark.parametrize("name", STORE_GRIDS)
+def test_grid_cold_then_warm_through_store(name, backend, tmp_path,
+                                           monkeypatch):
+    """Committed grids survive the content-addressed store bit for bit.
 
     A cold store-backed run must match the committed snapshot (all misses),
-    and a warm second run must rehydrate every record — events included —
-    without a single simulation, on both store backends.
+    and a warm second run must rehydrate every record — failure events
+    included — without a single simulation, on both store backends.
     """
     from repro.sim.sweep import SweepRunner
 

@@ -5,13 +5,15 @@ stability across consecutive runs — the PR 3 "amortise spawn" open item),
 per-worker dataset/sampler caches are shared across runner configurations
 (the PR 3 "shared dataset materialisation" open item), results stay
 byte-identical to the serial executor, failures keep the labelled
-``SweepPointError`` protocol, and store hits never touch the pool.
+``SweepPointError`` protocol, and store hits never touch the pool.  A
+worker's trajectory memo persists across runs under its byte cap.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cache.warm_kernel import TRAJECTORY_MEMO_MAX_BYTES
 from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError, SweepPointError
@@ -73,7 +75,7 @@ class TestWorkerReuse:
         for factory in (config_ssd_v100, config_hdd_1080ti):
             SweepRunner(factory, scale=SCALE, seed=0).run(
                 _grid(cache_fractions=(0.5,)), pool=pool, store=False)
-        for pid, (runners, datasets, samplers) in pool.probe().items():
+        for pid, (runners, datasets, samplers, *_) in pool.probe().items():
             if runners >= 2:
                 # This worker served both specs, yet holds one dataset.
                 assert datasets == 1
@@ -104,6 +106,33 @@ class TestWorkerReuse:
         assert warm == cold
         assert warm_store.hits == len(_grid()) and warm_store.misses == 0
         assert pool.runs == runs_after_cold  # the warm run enqueued nothing
+
+
+class TestWorkerTrajectoryMemo:
+    def test_worker_memo_persists_across_runs_and_stays_capped(self):
+        """A worker's shared trajectory memo outlives ``run()`` calls: a
+        second identical grid is served from it (hits grow, entries do
+        not), and its charged bytes never pass the module cap."""
+        points = SweepRunner.grid(models=[ALEXNET, RESNET18],
+                                  loaders=["hp-baseline"],
+                                  cache_fractions=(0.35,),
+                                  dataset="imagenet-1k", num_jobs=4)
+        with PersistentPool(1) as single:
+            serial = SweepRunner(config_ssd_v100, scale=SCALE, seed=0).run(
+                points, workers=0, store=False).snapshot()
+            probes = []
+            for _ in range(2):
+                pooled = SweepRunner(config_ssd_v100, scale=SCALE, seed=0).run(
+                    points, pool=single, store=False).snapshot()
+                assert pooled == serial
+                (probe,) = single.probe().values()
+                probes.append(probe[3:])
+        (entries, nbytes, hits), (entries2, nbytes2, hits2) = probes
+        # The second model already shares the first's replays in run one.
+        assert entries > 0 and hits > 0
+        assert entries2 == entries and nbytes2 == nbytes
+        assert hits2 == hits + 2 * entries
+        assert 0 < nbytes <= TRAJECTORY_MEMO_MAX_BYTES
 
 
 class TestLifecycle:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from repro.cache.lru import LRUCache
 from repro.cache.minio import MinIOCache
 from repro.cache.page_cache import PageCache
 from repro.cache.partitioned import LookupSource, PartitionedCacheGroup
+from repro.cache import warm_kernel
+from repro.cache.warm_kernel import TrajectoryMemo
 from repro.coordl.coordinated_prep import CoordinatedPrepPlan
 from repro.coordl.staging import StagingArea
 from repro.datasets.catalog import DatasetSpec
@@ -504,3 +509,137 @@ class TestMakespanProperties:
             assert bulk.evictions == scalar.evictions
             for field in ("hits", "misses", "insertions", "rejected"):
                 assert getattr(bulk.stats, field) == getattr(scalar.stats, field)
+
+
+# Trajectory memo -------------------------------------------------------------
+
+
+def _warm_page_cache(seed: int, num_items: int, capacity_fraction: float,
+                     warm_fraction: float) -> tuple:
+    """A page cache warmed (with promotions) by a seeded access pattern,
+    plus the item sizes it was warmed with; equal arguments give caches in
+    identical states."""
+    rng = np.random.default_rng(seed)
+    item_sizes = np.maximum(rng.lognormal(8.0, 1.0, num_items), 1.0)
+    cache = PageCache(float(item_sizes.sum() * capacity_fraction))
+    warm = rng.permutation(num_items)[:int(num_items * warm_fraction)]
+    for item in warm.tolist():
+        if not cache.lookup(item):
+            cache.admit(item, float(item_sizes[item]))
+    for item in warm.tolist()[::3]:
+        cache.lookup(item)
+    return cache, item_sizes
+
+
+def _page_cache_state(cache: PageCache, hits: np.ndarray) -> tuple:
+    """Everything a replay commits: lists in order, counters, hit mask."""
+    return (list(cache._inactive.items()), list(cache._active.items()),
+            cache.used_bytes, cache.active_bytes, cache.inactive_bytes,
+            cache.pressure_evictions,
+            tuple(getattr(cache.stats, field) for field in (
+                "hits", "misses", "insertions", "rejected", "hit_bytes")),
+            hits.tolist())
+
+
+class TestTrajectoryMemoProperties:
+    """A memo hit is committed exactly like a fresh replay of the input."""
+
+    @given(num_items=st.integers(1, 80), seed=seeds,
+           capacity_fraction=st.floats(0.05, 1.5),
+           warm_fraction=st.floats(0.0, 1.0), passes=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_hit_equals_fresh_replay(self, num_items, seed,
+                                          capacity_fraction, warm_fraction,
+                                          passes):
+        args = (seed, num_items, capacity_fraction, warm_fraction)
+        rng = np.random.default_rng(seed + 1)
+        fresh, item_sizes = _warm_page_cache(*args)
+        stream = np.concatenate([rng.permutation(num_items)
+                                 for _ in range(passes)]).astype(np.int64)
+        sizes = item_sizes[stream]
+        expected = _page_cache_state(fresh, fresh.bulk_stream_hits(stream, sizes))
+
+        memo = TrajectoryMemo()
+        with memo.scope():
+            first, _ = _warm_page_cache(*args)
+            first_hits = first.bulk_stream_hits(stream, sizes)
+            second, _ = _warm_page_cache(*args)
+            second_hits = second.bulk_stream_hits(stream, sizes)
+        assert (memo.misses, memo.hits, len(memo)) == (1, 1, 1)
+        assert _page_cache_state(first, first_hits) == expected
+        assert _page_cache_state(second, second_hits) == expected
+
+    def test_cached_arrays_are_read_only(self):
+        cache, item_sizes = _warm_page_cache(3, 50, 0.4, 0.5)
+        stream = np.arange(50, dtype=np.int64)
+        memo = TrajectoryMemo()
+        with memo.scope():
+            hits = cache.bulk_stream_hits(stream, item_sizes[stream])
+        ((found, result),) = [memo.get(key) for key in memo._entries]
+        assert found and result.hit_mask is hits
+        for array in (result.hit_mask,) + result.inactive + result.active:
+            with pytest.raises(ValueError):
+                array[:1] = array[:1]
+
+    def test_byte_cap_evicts_lru_first_and_re_miss_is_exact(self,
+                                                             monkeypatch):
+        streams = [np.random.default_rng(seed).permutation(60).astype(np.int64)
+                   for seed in range(3)]
+        _, item_sizes = _warm_page_cache(5, 60, 0.5, 0.0)
+        # Sized so that exactly two of the three results fit.
+        probe = TrajectoryMemo()
+        with probe.scope():
+            _warm_page_cache(5, 60, 0.5, 0.0)[0].bulk_stream_hits(
+                streams[0], item_sizes[streams[0]])
+        cap = probe.nbytes * 2 + probe.nbytes // 2
+        monkeypatch.setattr(warm_kernel, "TRAJECTORY_MEMO_MAX_BYTES", cap)
+        memo = TrajectoryMemo()
+        keys = []
+        with memo.scope():
+            for stream in streams:
+                cache, _ = _warm_page_cache(5, 60, 0.5, 0.0)
+                cache.bulk_stream_hits(stream, item_sizes[stream])
+                keys.append(next(reversed(memo._entries)))
+            assert len(memo) == 2 and memo.nbytes <= cap
+            assert keys[0] not in memo and keys[1] in memo and keys[2] in memo
+            replay, _ = _warm_page_cache(5, 60, 0.5, 0.0)
+            hits = replay.bulk_stream_hits(streams[0], item_sizes[streams[0]])
+            assert memo.misses == 4 and memo.hits == 0
+            # The re-miss evicted the now least-recently-used entry.
+            assert keys[1] not in memo and keys[0] in memo
+        fresh, _ = _warm_page_cache(5, 60, 0.5, 0.0)
+        fresh_hits = fresh.bulk_stream_hits(streams[0], item_sizes[streams[0]])
+        assert _page_cache_state(replay, hits) == _page_cache_state(
+            fresh, fresh_hits)
+
+    def test_result_larger_than_the_cap_is_not_stored(self, monkeypatch):
+        cache, item_sizes = _warm_page_cache(7, 40, 0.5, 0.0)
+        stream = np.arange(40, dtype=np.int64)
+        monkeypatch.setattr(warm_kernel, "TRAJECTORY_MEMO_MAX_BYTES", 64)
+        memo = TrajectoryMemo()
+        with memo.scope():
+            hits = cache.bulk_stream_hits(stream, item_sizes[stream])
+        assert len(memo) == 0 and memo.nbytes == 0
+        assert hits.flags.writeable
+
+    def test_concurrent_threads_get_identical_results(self):
+        rng = np.random.default_rng(11)
+        _, item_sizes = _warm_page_cache(11, 200, 0.3, 0.6)
+        stream = np.concatenate([rng.permutation(200) for _ in range(3)])
+        memo = TrajectoryMemo()
+        barrier = threading.Barrier(6)
+
+        def worker(_):
+            cache, _ = _warm_page_cache(11, 200, 0.3, 0.6)
+            barrier.wait()
+            with memo.scope():
+                hits = cache.bulk_stream_hits(stream, item_sizes[stream])
+            return _page_cache_state(cache, hits)
+
+        with ThreadPoolExecutor(6) as pool:
+            states = list(pool.map(worker, range(6)))
+        fresh, _ = _warm_page_cache(11, 200, 0.3, 0.6)
+        expected = _page_cache_state(
+            fresh, fresh.bulk_stream_hits(stream, item_sizes[stream]))
+        assert all(state == expected for state in states)
+        assert memo.hits + memo.misses == 6 and len(memo) == 1

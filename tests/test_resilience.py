@@ -330,12 +330,18 @@ class TestSupervisedPoolRecovery:
             lock = executor._executor._result_queue._wlock
             held_at_kill = []
             real_kill = os.kill
+            caller = threading.current_thread()
 
             def spying_kill(pid, sig):
-                free = lock.acquire(False)
-                if free:
-                    lock.release()
-                held_at_kill.append(not free)
+                # Once the victim dies, the executor's management thread
+                # SIGTERMs the rest of the broken pool on its own schedule,
+                # possibly before the spy is removed; only the kill sent
+                # from this thread by kill_one_worker is under test.
+                if threading.current_thread() is caller:
+                    free = lock.acquire(False)
+                    if free:
+                        lock.release()
+                    held_at_kill.append(not free)
                 real_kill(pid, sig)
 
             monkeypatch.setattr(os, "kill", spying_kill)

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.cache import page_cache
+from repro.cache.warm_kernel import (
+    WARM_KERNEL_ENV_VAR,
+    TrajectoryMemo,
+    trajectory_key,
+)
 from repro.cluster.configs import config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError
 from repro.sim.engine import PipelineSimulator
 from repro.sim.single_server import build_loader
-from repro.sim.sweep import SweepPoint, SweepRunner
+from repro.sim.sweep import SweepPoint, SweepResult, SweepRunner
+from repro.store import SweepStore
 
 SCALE = 1 / 500.0
 
@@ -175,3 +182,110 @@ class TestFastPathEquivalence:
             sim = PipelineSimulator(RESNET18, server.gpu, fast_path=fast)
             results[fast] = [e.epoch_time_s for e in sim.run_epochs(loader, 3)]
         assert results[True] == pytest.approx(results[False], abs=1e-9)
+
+
+def _shared_trajectory_grid():
+    """Points whose page-cache trajectories coincide: two models (one batch
+    size) on one thrashing HP-search baseline point, and a warm
+    multi-epoch DALI point swept over prep cores (cores move prep time,
+    never the cache)."""
+    hp = SweepRunner.grid(models=[ALEXNET, RESNET18], loaders=["hp-baseline"],
+                          cache_fractions=(0.35,), dataset="imagenet-1k",
+                          num_jobs=4)
+    dali = SweepRunner.grid(models=[RESNET18], loaders=["dali-shuffle"],
+                            cache_fractions=(0.5,), cores=(4.0, 8.0, 12.0),
+                            dataset="openimages", num_epochs=3)
+    return hp + dali
+
+
+def _fresh_runner(**kwargs):
+    return SweepRunner(config_ssd_v100, scale=SCALE, seed=0,
+                       trajectory_memo=TrajectoryMemo(), **kwargs)
+
+
+def _fresh_runner_snapshot(points):
+    """Every point on its own runner: no trajectory is ever replayed twice
+    by one memo, so this is the fresh-replay reference."""
+    records = []
+    for point in points:
+        records.extend(_fresh_runner().run([point], workers=0, store=False))
+    return SweepResult(records).snapshot()
+
+
+class TestTrajectoryMemo:
+    """One runner replays each distinct page-cache trajectory once, and
+    the memo hits change no result bit and no store key."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Content keys of every real kernel replay (memo hits excluded)."""
+        calls = []
+        original = page_cache.simulate_segmented_lru
+
+        def counting(item_ids, sizes, **params):
+            calls.append(trajectory_key(item_ids, sizes, **params))
+            return original(item_ids, sizes, **params)
+
+        monkeypatch.setattr(page_cache, "simulate_segmented_lru", counting)
+        return calls
+
+    def test_one_replay_per_distinct_input(self, kernel_calls):
+        points = _shared_trajectory_grid()
+        reference = _fresh_runner_snapshot(points)
+        fresh_calls = list(kernel_calls)
+        # The grid really shares trajectories across points.
+        assert len(fresh_calls) > len(set(fresh_calls))
+
+        kernel_calls.clear()
+        runner = _fresh_runner()
+        shared = runner.run(points, workers=0, store=False).snapshot()
+        assert shared == reference
+        assert len(kernel_calls) == len(set(kernel_calls)) == len(set(fresh_calls))
+        assert runner._trajectories.hits == len(fresh_calls) - len(kernel_calls)
+
+    def test_pooled_run_is_byte_identical(self):
+        points = _shared_trajectory_grid()
+        pooled = _fresh_runner().run(points, workers=2, store=False).snapshot()
+        assert pooled == _fresh_runner_snapshot(points)
+
+    def test_store_keys_and_bytes_do_not_see_memo_hits(self, tmp_path):
+        points = _shared_trajectory_grid()
+        reference = _fresh_runner_snapshot(points)
+        shared_store = SweepStore(f"sqlite://{tmp_path / 'shared.db'}")
+        fresh_store = SweepStore(f"sqlite://{tmp_path / 'fresh.db'}")
+        runner = _fresh_runner()
+        shared = runner.run(points, workers=0, store=shared_store).snapshot()
+        assert runner._trajectories.hits > 0
+        for point in points:
+            _fresh_runner().run([point], workers=0, store=fresh_store)
+        assert shared == reference
+        assert sorted(shared_store.backend.entries()) == sorted(
+            fresh_store.backend.entries())
+        for point in points:
+            assert runner.point_spec(point) == _fresh_runner().point_spec(point)
+        # The stored records rehydrate to the fresh-replay bytes.
+        warm = _fresh_runner().run(points, workers=0,
+                                   store=shared_store).snapshot()
+        assert warm == reference
+        shared_store.close()
+        fresh_store.close()
+
+    def test_kernel_off_bypasses_the_memo(self, kernel_calls, monkeypatch):
+        monkeypatch.setenv(WARM_KERNEL_ENV_VAR, "0")
+        points = _shared_trajectory_grid()
+        runner = _fresh_runner()
+        snapshot = runner.run(points, workers=0, store=False).snapshot()
+        assert kernel_calls == [] and len(runner._trajectories) == 0
+        monkeypatch.delenv(WARM_KERNEL_ENV_VAR)
+        assert snapshot == _fresh_runner_snapshot(points)
+
+    def test_runner_adopts_the_memo_scoped_around_it(self):
+        outer = TrajectoryMemo()
+        with outer.scope():
+            adopted = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        private = SweepRunner(config_ssd_v100, scale=SCALE, seed=0)
+        points = _shared_trajectory_grid()[:1]
+        adopted.run(points, workers=0, store=False)
+        assert len(outer) > 0
+        private.run(points, workers=0, store=False)
+        assert outer.hits == 0 and private._trajectories is not outer

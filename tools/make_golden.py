@@ -2,7 +2,8 @@
 """Regenerate the committed golden sweep snapshots under tests/golden/.
 
 The snapshots are byte-exact (:meth:`float.hex` floats) serial-run outputs
-of the small reference grids in :mod:`repro.sim.harness`.  The golden
+of the small reference grids in :mod:`repro.sim.harness`, each point
+simulated on its own fresh runner (no trajectory-memo hits).  The golden
 regression tests assert that :class:`~repro.sim.sweep.SweepRunner`
 reproduces them bit-for-bit at ``workers=0``, ``workers=1`` and
 ``workers=4``.
