@@ -14,11 +14,17 @@ the in-memory, in-flight counterpart of that dedup:
   attach to the existing :class:`PointFuture` instead of being simulated
   again — each unique point is simulated **at most once per cold pass**
   no matter how many overlapping requests race;
-* fresh points from requests arriving within one coalescing window
-  (``window_s``) are merged into a single
-  :meth:`~repro.sim.sweep.SweepRunner.run` call per runner
-  configuration, resolved point by point through the runner's
-  ``on_record`` streaming hook;
+* the request claims every other point (registers its future in flight)
+  and then, outside the lock and on its own thread, probes the store once
+  per claimed point (:meth:`~repro.sim.sweep.SweepRunner.lookup`): a hit
+  resolves its future before :meth:`CoalescingBatcher.submit` returns,
+  so stored points never wait for the coalescing window, a dispatcher
+  wake-up or a batch thread;
+* only the misses are queued: those from requests arriving within one
+  coalescing window (``window_s``) are merged into a single
+  :meth:`~repro.sim.sweep.SweepRunner.simulate` call per runner
+  configuration (no second store lookup), resolved point by point
+  through its ``on_record`` hook as each record is written back;
 * every batch drains on its **own thread**, so a slow batch never blocks
   a later, unrelated fast one (no head-of-line blocking across batches) —
   dedup against in-flight futures keeps concurrent batches disjoint;
@@ -48,7 +54,8 @@ from repro.sim.sweep import SweepPoint, SweepRecord, SweepRunner
 from repro.store import PersistentPool, SweepStore, store_key
 
 #: Default coalescing window: how long the dispatcher holds freshly
-#: submitted points so racing requests can merge into one ``run()`` call.
+#: submitted misses so racing requests can merge into one ``simulate()``
+#: call.  Store hits never wait for it.
 #: Small against simulation cost (tens of ms per point), large against
 #: thread-scheduling jitter.
 DEFAULT_WINDOW_S = 0.01
@@ -159,9 +166,10 @@ class CoalescingBatcher:
     """Coalesce concurrent what-if requests into shared sweep runs.
 
     Args:
-        store: Shared :class:`~repro.store.SweepStore` every batch runs
-            against (hits resolve without simulating); ``None`` disables
-            persistence (in-flight dedup still applies).
+        store: Shared :class:`~repro.store.SweepStore`: probed for every
+            claimed point at submit (hits resolve there), and written
+            back by every batch; ``None`` disables persistence (in-flight
+            dedup still applies).
         pool: Shared :class:`~repro.store.PersistentPool` the batches'
             simulations fan out over; ``None`` simulates on the batch
             thread (``workers`` processes per run, 0 = in-process).
@@ -172,14 +180,14 @@ class CoalescingBatcher:
             ``ServeDaemon(point_retries=N)`` configures it as ``N + 1``.
         fault_injector: Optional
             :class:`~repro.resilience.FaultInjector` whose batch-stall
-            schedule fires before each batch ``run()`` attempt; defaults
+            schedule fires before each batch attempt; defaults
             to the process-wide injector (``REPRO_FAULT_PLAN``), which
             is ``None`` — no injection, no overhead — in normal
             operation.
 
     Counters (for ``/v1/stats`` and the tests): ``submitted_requests``,
     ``submitted_points``, ``attached_points`` (dedup against an in-flight
-    future), ``batches`` (one per ``run()`` call), ``batched_points``,
+    future), ``batches`` (one per ``simulate()`` call), ``batched_points``,
     ``point_retries`` (points re-attempted after a failed attempt).
     """
 
@@ -227,8 +235,10 @@ class CoalescingBatcher:
                points: Sequence[SweepPoint]) -> QueryTicket:
         """Register a request; returns its :class:`QueryTicket`.
 
-        Never blocks on simulation: fresh points are queued for the
-        dispatcher, overlapping points attach to in-flight futures.
+        Never blocks on simulation: overlapping points attach to in-flight
+        futures, the request's other points are claimed and looked up in
+        the store on the calling thread (hits are resolved when this
+        returns), and only the misses are queued for the dispatcher.
         """
         points = list(points)
         if not points:
@@ -238,27 +248,74 @@ class CoalescingBatcher:
         keyed = [(point, store_key(runner.point_spec(point)))
                  for point in points]
         futures: List[PointFuture] = []
+        claimed: List[Tuple[SweepPoint, PointFuture]] = []
         with self._lock:
             if self._closed:
                 raise ConfigurationError("batcher is closed")
             self.submitted_requests += 1
             self.submitted_points += len(points)
-            spec_token = runner.spec()
             for point, key in keyed:
                 future = self._inflight.get(key)
                 if future is not None:
                     self.attached_points += 1
                 else:
+                    # Claimed: a racing request attaches to this future
+                    # instead of probing the store or simulating again.
                     future = PointFuture(key)
                     self._inflight[key] = future
-                    group = self._pending.get(spec_token)
-                    if group is None:
-                        self._pending[spec_token] = (runner, [(point, future)])
-                    else:
-                        group[1].append((point, future))
+                    claimed.append((point, future))
                 futures.append(future)
-            self._wake.notify_all()
+        if claimed:
+            self._probe_then_queue(runner, claimed)
         return QueryTicket(points, futures)
+
+    def _probe_then_queue(self, runner: SweepRunner,
+                          claimed: List[Tuple[SweepPoint, PointFuture]],
+                          ) -> None:
+        """Resolve the claimed points the store holds; queue the rest."""
+        misses = claimed
+        if self._store is not None:
+            try:
+                missed = runner.lookup(
+                    self._store,
+                    [(index, point, future.key)
+                     for index, (point, future) in enumerate(claimed)],
+                    lambda index, record: self._settle(claimed[index][1],
+                                                       record=record))
+            except BaseException as exc:
+                # Never leave a claimed key in flight with nobody to
+                # resolve it: later requests would attach and hang.
+                for _, future in claimed:
+                    self._settle(future, error=exc)
+                raise
+            misses = [claimed[index] for index, _, _ in missed]
+        if not misses:
+            return
+        with self._lock:
+            if not self._closed:
+                self._pending.setdefault(runner.spec(),
+                                         (runner, []))[1].extend(misses)
+                self._wake.notify_all()
+                return
+        for _, future in misses:
+            self._settle(future, error=ConfigurationError("batcher closed"))
+
+    def _settle(self, future: PointFuture, *,
+                record: Optional[SweepRecord] = None,
+                error: Optional[BaseException] = None) -> None:
+        """Resolve (or fail) ``future`` and release its in-flight key.
+
+        The key is released only while it still maps to this future: a
+        settled point's key may already be claimed again by a later
+        request, whose future must stay.
+        """
+        if error is None:
+            future.resolve(record)
+        else:
+            future.fail(error)
+        with self._lock:
+            if self._inflight.get(future.key) is future:
+                del self._inflight[future.key]
 
     # -- dispatcher ----------------------------------------------------------
 
@@ -293,21 +350,15 @@ class CoalescingBatcher:
     def _run_entries(self, runner: SweepRunner,
                      entries: List[Tuple[SweepPoint, PointFuture]],
                      ) -> Optional[BaseException]:
-        """One ``run()`` attempt over ``entries``; returns the failure, if any.
+        """One simulation attempt over ``entries``; returns the failure, if any.
 
-        Every point that completes — store hit or fresh simulation, even
-        when a later point's failure eventually raises — resolves its
-        future through the runner's ``on_record`` streaming hook, so
-        waiters (and the dedup map) see completions the moment they
-        happen, not when the batch ends.
+        Every point that completes — even when a later point's failure
+        eventually raises — is written to the store and then resolves its
+        future through ``on_record``, so waiters (and the dedup map) see
+        completions the moment they happen, not when the batch ends.
         """
-        futures = [future for _, future in entries]
-
         def on_record(index: int, record: SweepRecord) -> None:
-            future = futures[index]
-            future.resolve(record)
-            with self._lock:
-                self._inflight.pop(future.key, None)
+            self._settle(entries[index][1], record=record)
 
         with self._lock:
             self.batches += 1
@@ -320,9 +371,10 @@ class CoalescingBatcher:
             if stall_s > 0:
                 time.sleep(stall_s)
         try:
-            runner.run([point for point, _ in entries],
-                       workers=self._workers, store=self._store,
-                       pool=self._pool, on_record=on_record)
+            runner.simulate([(index, point, future.key)
+                             for index, (point, future) in enumerate(entries)],
+                            store=self._store, workers=self._workers,
+                            pool=self._pool, on_record=on_record)
             return None
         except Exception as exc:
             return exc
@@ -332,7 +384,7 @@ class CoalescingBatcher:
         remaining = list(entries)
         error: Optional[BaseException] = None
         # Batched attempts (all but the last): the whole remainder through
-        # one run() call.  Retrying only what never resolved means a
+        # one simulate() call.  Retrying only what never resolved means a
         # crashed worker degrades to recomputation of its points alone.
         for attempt in range(max(1, self._max_attempts - 1)):
             if not remaining:
@@ -357,9 +409,7 @@ class CoalescingBatcher:
                     self.point_retries += 1
                 point_error = self._run_entries(runner, [entry])
                 if point_error is not None and not future.done:
-                    future.fail(point_error)
-                    with self._lock:
-                        self._inflight.pop(future.key, None)
+                    self._settle(future, error=point_error)
             remaining = [(point, future) for point, future in remaining
                          if not future.done]
         # Exhausted attempts (or closed mid-way): release every waiter.
@@ -367,9 +417,7 @@ class CoalescingBatcher:
             failure = error or ConfigurationError(
                 "batch ended without resolving every point")
             for _, future in remaining:
-                future.fail(failure)
-                with self._lock:
-                    self._inflight.pop(future.key, None)
+                self._settle(future, error=failure)
 
     # -- stats / lifecycle ---------------------------------------------------
 
@@ -408,9 +456,7 @@ class CoalescingBatcher:
             threads = list(self._batch_threads)
         for _, entries in undispatched.values():
             for _, future in entries:
-                future.fail(ConfigurationError("batcher closed"))
-                with self._lock:
-                    self._inflight.pop(future.key, None)
+                self._settle(future, error=ConfigurationError("batcher closed"))
         self._dispatcher.join(timeout_s)
         for thread in threads:
             thread.join(timeout_s)

@@ -66,7 +66,13 @@ from repro.serve.protocol import (
     runner_from_wire,
 )
 from repro.resilience.faults import FaultInjector, active_injector
-from repro.store import PersistentPool, StoreArg, resolve_store
+from repro.store import (
+    PersistentPool,
+    StoreArg,
+    StoreBackend,
+    SweepStore,
+    resolve_store,
+)
 
 #: Default per-request deadline when a query does not carry one.  Generous
 #: — it exists so an abandoned connection can never pin a request thread
@@ -122,7 +128,9 @@ class ServeDaemon:
             URI, ``None`` for the environment default, ``False`` for no
             store).  The SQLite backend's WAL mode gives the serving
             threads real concurrent reads — warm queries never serialise
-            behind a writer.
+            behind a writer.  :meth:`close` closes a store the daemon
+            opened itself (from a path, URI or the environment); an open
+            store or backend passed in stays open for its owner.
         workers: Size of the shared :class:`~repro.store.PersistentPool`
             simulations fan out over; ``0`` simulates on batch threads
             (in-process — what the tests use).
@@ -181,6 +189,9 @@ class ServeDaemon:
         self._injector = (fault_injector if fault_injector is not None
                           else active_injector())
         self._store = resolve_store(store, fault_injector=self._injector)
+        # A store opened here (from a path, URI or the environment) is the
+        # daemon's to close; an open store or backend stays the caller's.
+        self._owns_store = not isinstance(store, (SweepStore, StoreBackend))
         if hosts is not None:
             from repro.dist import DistExecutor  # local: import cycle
 
@@ -207,6 +218,10 @@ class ServeDaemon:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Headers and body go out in separate sends; without
+            # TCP_NODELAY a keep-alive client waits out a delayed ACK
+            # (~40 ms) on every small response.
+            disable_nagle_algorithm = True
 
             def log_message(self, *args: Any) -> None:  # quiet by default
                 pass
@@ -273,9 +288,10 @@ class ServeDaemon:
         ``drain=True`` flips the daemon into draining mode (new sweep
         POSTs get ``503 draining``), waits up to :data:`DRAIN_TIMEOUT_S`
         for in-flight requests to complete, then shuts the HTTP server,
-        batcher and pool down.  ``drain=False`` skips the wait — in-flight
-        sweeps are abandoned mid-run (their results still land in the
-        store) and the pool is torn down hard.
+        batcher and pool down, then closes the store if the daemon opened
+        it.  ``drain=False`` skips the wait — in-flight sweeps are
+        abandoned mid-run (their results still land in the store) and the
+        pool is torn down hard.
         """
         with self._lock:
             self._draining = True
@@ -294,6 +310,8 @@ class ServeDaemon:
         self._batcher.close()
         if self._pool is not None:
             self._pool.close(drain=drain)
+        if self._owns_store and self._store is not None:
+            self._store.close()
 
     def __enter__(self) -> "ServeDaemon":
         return self.start()

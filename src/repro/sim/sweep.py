@@ -66,7 +66,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
 import numpy as np
 
 if TYPE_CHECKING:  # repro.store imports this module; annotation-only here
-    from repro.store import PersistentPool, StoreArg
+    from repro.store import PersistentPool, StoreArg, SweepStore
 
 from repro.cache.warm_kernel import (
     TrajectoryMemo,
@@ -366,6 +366,11 @@ class SweepPoint:
         if self.batch_size is not None:
             parts.append(f"batch={self.batch_size}")
         return "/".join(parts)
+
+
+#: ``(index, point, store key)`` — one point of a :meth:`SweepRunner.lookup`
+#: / :meth:`SweepRunner.simulate` call; the key is ``None`` without a store.
+KeyedPoint = Tuple[int, SweepPoint, Optional[str]]
 
 
 def _hex(value: float) -> str:
@@ -1092,7 +1097,6 @@ class SweepRunner:
         """
         from repro.store import (  # local: repro.store imports us
             resolve_store,
-            runner_spec_digest,
             store_key,
         )
 
@@ -1101,6 +1105,12 @@ class SweepRunner:
         if chunksize is not None and chunksize < 1:
             raise ConfigurationError("chunksize must be at least 1")
         records: List[Optional[SweepRecord]] = [None] * len(points)
+
+        def deliver(index: int, record: SweepRecord) -> None:
+            records[index] = record
+            if on_record is not None:
+                on_record(index, record)
+
         sweep_store = resolve_store(store)
         if sweep_store is not None:
             try:
@@ -1115,51 +1125,86 @@ class SweepRunner:
                 if store is not None:
                     raise
                 sweep_store = None
-        keys: List[Optional[str]] = [None] * len(points)
-        runner_digest = ""
-        to_run = list(enumerate(points))
-        if sweep_store is not None:
-            to_run = []
-            for index, point in enumerate(points):
-                spec = self.point_spec(point)
-                if not runner_digest:
-                    # Index metadata: identical for every point of a run.
-                    runner_digest = runner_spec_digest(spec["runner"])
-                keys[index] = store_key(spec)
-                hit = sweep_store.get(keys[index], point)
-                if hit is None:
-                    to_run.append((index, point))
-                else:
-                    records[index] = hit
-                    if on_record is not None:
-                        on_record(index, hit)
+        if sweep_store is None:
+            keyed = [(index, point, None)
+                     for index, point in enumerate(points)]
+        else:
+            keyed = self.lookup(
+                sweep_store,
+                [(index, point, store_key(self.point_spec(point)))
+                 for index, point in enumerate(points)],
+                deliver)
+        self.simulate(keyed, store=sweep_store, workers=workers,
+                      chunksize=chunksize, pool=pool, on_record=deliver)
+        return SweepResult(records)  # type: ignore[arg-type]  # all slots filled
+
+    def lookup(self, store: "SweepStore", keyed: Sequence[KeyedPoint],
+               on_hit: Callable[[int, SweepRecord], None],
+               ) -> List[KeyedPoint]:
+        """Probe ``store`` once per ``(index, point, key)``; return the misses.
+
+        The store half of :meth:`run`: each hit is handed to
+        ``on_hit(index, record)`` as soon as it is read, and the misses
+        come back, in input order, ready for :meth:`simulate`.  The serve
+        layer's batcher calls it when a request is submitted, so stored
+        points never wait for a batch.
+        """
+        misses: List[KeyedPoint] = []
+        for entry in keyed:
+            index, point, key = entry
+            hit = store.get(key, point)
+            if hit is None:
+                misses.append(entry)
+            else:
+                on_hit(index, hit)
+        return misses
+
+    def simulate(self, keyed: Sequence[KeyedPoint], *,
+                 store: Optional["SweepStore"] = None,
+                 workers: Optional[int] = 0,
+                 chunksize: Optional[int] = None,
+                 pool: Optional["PersistentPool"] = None,
+                 on_record: Optional[Callable[[int, SweepRecord], None]]
+                 = None) -> None:
+        """Simulate every ``(index, point, key)``; never reads the store.
+
+        The compute half of :meth:`run`, with its ``workers`` /
+        ``chunksize`` / ``pool`` semantics.  As each point completes, its
+        record is written to ``store`` under its key (when a store is
+        given) and then handed to ``on_record(index, record)``.
+        """
+        from repro.store import runner_spec_digest  # local: import cycle
+
+        if not keyed:
+            return
+        workers = self._resolve_workers(workers)
+        keys = {index: key for index, _, key in keyed}
+        # Index metadata: identical for every point of a runner.
+        runner_digest = (runner_spec_digest(
+            self.point_spec(keyed[0][1])["runner"])
+            if store is not None else "")
 
         def commit(index: int, record: SweepRecord) -> None:
             # Called as each simulation completes (not after the whole
             # grid), so a failing point or an interrupted run keeps every
             # already-finished point in the store: the retry resumes
             # instead of re-paying the full grid.
-            records[index] = record
-            if sweep_store is not None:
-                sweep_store.put(keys[index], record,
-                                runner_digest=runner_digest)
+            if store is not None:
+                store.put(keys[index], record, runner_digest=runner_digest)
             if on_record is not None:
                 on_record(index, record)
 
-        if to_run:
-            if pool is not None:
-                pool.run_points(self.spec(), to_run, chunksize,
-                                on_record=commit)
-            elif workers <= 1 or len(to_run) <= 1:
-                # workers<=1 degrades to the serial executor outright: a
-                # clamped-to-1 spawn pool still pays the full spawn +
-                # substrate-rebuild cost for zero parallelism.
-                for index, point in to_run:
-                    commit(index, self._run_point_guarded(point))
-            else:
-                self._run_parallel(to_run, workers, chunksize,
-                                   on_record=commit)
-        return SweepResult(records)  # type: ignore[arg-type]  # all slots filled
+        to_run = [(index, point) for index, point, _ in keyed]
+        if pool is not None:
+            pool.run_points(self.spec(), to_run, chunksize, on_record=commit)
+        elif workers <= 1 or len(to_run) <= 1:
+            # workers<=1 degrades to the serial executor outright: a
+            # clamped-to-1 spawn pool still pays the full spawn +
+            # substrate-rebuild cost for zero parallelism.
+            for index, point in to_run:
+                commit(index, self._run_point_guarded(point))
+        else:
+            self._run_parallel(to_run, workers, chunksize, on_record=commit)
 
     def _resolve_workers(self, workers: Optional[int]) -> int:
         if workers is None:

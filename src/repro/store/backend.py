@@ -30,9 +30,16 @@ Pragma discipline (per the SQLite idioms in SNIPPETS.md):
 daemon's concurrent reader threads are real, not serialised),
 ``synchronous=NORMAL`` (safe with WAL; no per-commit fsync),
 ``busy_timeout=30000`` (writers queue instead of erroring), timestamps
-as ISO-8601 UTC text.  Connections are per-thread (``sqlite3`` objects
-are not thread-safe; thread-local connections under WAL is what makes
-the concurrency contract hold).
+as ISO-8601 UTC text.  Each thread leases its own connection (a
+``sqlite3`` connection must not be used by two threads at once; one
+connection per thread under WAL is what makes the concurrency contract
+hold), and the lease ends with the thread: the connection becomes the
+backend's single spare, which the next new thread adopts, or is closed.
+Open connections are therefore bounded by the live threads that use the
+backend plus one, however many short-lived threads (one per serve
+request, one per dist host per batch) come and go.  ``close()`` closes
+the spare and the caller's own connection; another live thread's
+connection is closed by that thread, never under it.
 
 Both backends speak the same exchange types: ``get`` returns the record
 snapshot dict *plus* the exact stored bytes (file bytes / packed blob) so
@@ -52,10 +59,11 @@ import os
 import pathlib
 import sqlite3
 import threading
+import weakref
 import zlib
 from datetime import datetime, timezone
-from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple, \
-    Union
+from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Set, \
+    Tuple, Union
 
 from repro.exceptions import ConfigurationError
 
@@ -363,9 +371,11 @@ class SqliteBackend(StoreBackend):
             self._db_path.parent.mkdir(parents=True, exist_ok=True)
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: List[sqlite3.Connection] = []
+        self._connections: Set[sqlite3.Connection] = set()
         self._generation = 0
-        self._connect()  # create the schema eagerly, fail fast on bad paths
+        # Create the schema eagerly (fail fast on bad paths); the
+        # connection waits as the spare for the first thread that needs one.
+        self._spare: Optional[sqlite3.Connection] = self._open()
 
     @property
     def path(self) -> pathlib.Path:
@@ -374,15 +384,15 @@ class SqliteBackend(StoreBackend):
     def entry_path(self, key: str) -> pathlib.Path:
         return self._db_path
 
-    def _connect(self) -> sqlite3.Connection:
-        state = getattr(self._local, "state", None)
-        if state is not None and state[0] == self._generation:
-            return state[1]
+    def _open(self) -> sqlite3.Connection:
         # Autocommit (isolation_level=None): every statement is its own
         # transaction, so the write-once INSERT and the management DELETEs
-        # are each atomic without explicit BEGIN/COMMIT bookkeeping.
+        # are each atomic without explicit BEGIN/COMMIT bookkeeping.  A
+        # connection outlives the thread that opened it (as the spare), so
+        # the same-thread check is off; a lease still gives each
+        # connection to one thread at a time.
         con = sqlite3.connect(str(self._db_path), timeout=30.0,
-                              isolation_level=None)
+                              isolation_level=None, check_same_thread=False)
         con.execute("PRAGMA journal_mode=WAL")
         con.execute("PRAGMA synchronous=NORMAL")
         con.execute("PRAGMA busy_timeout=30000")
@@ -392,10 +402,35 @@ class SqliteBackend(StoreBackend):
         con.execute("CREATE INDEX IF NOT EXISTS entries_runner_digest"
                     " ON entries(runner_digest)")
         with self._lock:
-            generation = self._generation
-            self._connections.append(con)
-        self._local.state = (generation, con)
+            self._connections.add(con)
         return con
+
+    def _connect(self) -> sqlite3.Connection:
+        """The calling thread's connection: its lease, else the spare,
+        else a new one."""
+        lease = getattr(self._local, "lease", None)
+        if lease is not None and lease.generation == self._generation:
+            return lease.con
+        with self._lock:
+            con, self._spare = self._spare, None
+            generation = self._generation
+        if con is None:
+            con = self._open()
+        # Replacing a stale lease releases it here, outside the lock.
+        self._local.lease = _Lease(self, con, generation)
+        return con
+
+    def _release(self, con: sqlite3.Connection, generation: int) -> None:
+        """A lease ended: keep its connection as the spare, or close it."""
+        with self._lock:
+            if generation == self._generation and self._spare is None:
+                self._spare = con
+                return
+            self._connections.discard(con)
+        try:
+            con.close()
+        except sqlite3.Error:  # pragma: no cover - close is best-effort
+            pass
 
     def get(self, key: str) -> Optional[Tuple[Dict[str, Any], bytes]]:
         row = self._connect().execute(
@@ -503,13 +538,41 @@ class SqliteBackend(StoreBackend):
 
     def close(self) -> None:
         with self._lock:
-            connections, self._connections = self._connections, []
-            self._generation += 1  # stale thread-locals reconnect lazily
-        for con in connections:
-            try:
-                con.close()
-            except sqlite3.Error:  # pragma: no cover - close is best-effort
-                pass
+            stale = self._generation
+            self._generation += 1  # every lease is stale from here on
+            spare, self._spare = self._spare, None
+        if spare is not None:
+            self._release(spare, stale)  # stale: closed, not kept
+        # The caller's own lease ends here.  Another live thread's lease is
+        # never closed under it: that thread closes it at its next call
+        # (which reconnects) or when it exits.
+        vars(self._local).pop("lease", None)
+
+
+class _Lease:
+    """One thread's hold on a :class:`SqliteBackend` connection.
+
+    The backend's ``threading.local`` is the lease's only owner, so the
+    lease is dropped when its thread exits (or when a stale lease is
+    replaced) and hands the connection back.  It refers to the backend
+    weakly: a backend dropped without ``close()`` still frees its
+    connections instead of being kept alive by its threads' leases.
+    """
+
+    __slots__ = ("con", "generation", "_backend")
+
+    def __init__(self, backend: SqliteBackend, con: sqlite3.Connection,
+                 generation: int) -> None:
+        self.con = con
+        self.generation = generation
+        self._backend = weakref.ref(backend)
+
+    def __del__(self) -> None:
+        backend = self._backend()
+        if backend is not None:
+            backend._release(self.con, self.generation)
+        else:
+            self.con.close()
 
 
 #: URI scheme selecting :class:`SqliteBackend` in :func:`open_backend`

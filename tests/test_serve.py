@@ -24,7 +24,9 @@ The concurrency + fault harness this PR is pinned by:
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import pathlib
 import threading
 import time
@@ -37,6 +39,7 @@ from repro.cluster.configs import config_hdd_1080ti, config_ssd_v100
 from repro.compute.model_zoo import ALEXNET, RESNET18
 from repro.exceptions import ConfigurationError
 from repro.pipeline.stats import EpochStats, TrainingRunStats
+from repro.resilience import FaultInjector, FaultPlan, StoreFault
 from repro.serve import (
     CoalescingBatcher,
     ServeClient,
@@ -285,6 +288,11 @@ class TestConcurrency:
                           for p in served_simulated]
         assert len(simulated_keys) == len(set(simulated_keys))
         assert set(simulated_keys) <= set(expected)
+        # One store lookup per claimed point, however the requests raced.
+        stats = client.stats()
+        claimed = (stats["batcher"]["submitted_points"]
+                   - stats["batcher"]["attached_points"])
+        assert stats["store"]["hits"] + stats["store"]["misses"] == claimed
 
 
 class TestFaultInjection:
@@ -412,6 +420,173 @@ class TestDeadlines:
         slow_thread.join(30)
 
 
+def _warm_store(location, points) -> SweepStore:
+    """A store already holding ``points`` (simulated under ``_runner()``)."""
+    store = SweepStore(location)
+    _runner().run(points, store=store)
+    return store
+
+
+def _assert_serial(outcomes, points) -> None:
+    """Every outcome is ok and byte-identical to a serial run."""
+    assert [o.status for o in outcomes] == ["ok"] * len(points)
+    for outcome, expected in zip(outcomes, _runner().run(points).records):
+        assert (outcome.record.snapshot(include_timeline=True)
+                == expected.snapshot(include_timeline=True))
+
+
+class _SpyExecutor:
+    """``run_points`` executor that only records its calls."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def run_points(self, spec, indexed_points, chunksize=None,
+                   on_record=None):
+        self.calls.append(list(indexed_points))
+        return []
+
+
+class TestSubmitTimeHits:
+    """Store hits resolve when a request is submitted, on its own thread;
+    only misses reach the coalescing window, the dispatcher and a batch."""
+
+    def test_all_hit_request_never_reaches_a_batch(self, tmp_path,
+                                                   monkeypatch):
+        points = _points()
+        store = _warm_store(tmp_path / "store", points)
+        simulated = _count_simulations(monkeypatch)
+        executor = _SpyExecutor()
+        # A window far longer than the test: a hit that waited for a
+        # batch could not be resolved yet.
+        with CoalescingBatcher(store=store, pool=executor,
+                               window_s=30.0) as batcher:
+            outcomes = batcher.submit(_runner(), points).wait(0.0)
+            stats = batcher.stats()
+        assert stats["batches"] == 0 and stats["batched_points"] == 0
+        assert stats["inflight_points"] == 0
+        assert executor.calls == [] and simulated == []
+        _assert_serial(outcomes, points)
+
+    def test_stats_count_one_lookup_per_claimed_point(self, client):
+        runner = _runner()
+        universe = [SweepPoint(model=RESNET18, loader="coordl",
+                               dataset="openimages", cache_fraction=fraction)
+                    for fraction in (0.3, 0.5, 0.7)]
+        client.whatif(runner, universe[:2])  # 2 misses
+        client.whatif(runner, universe)      # 2 hits, 1 miss
+        client.whatif(runner, universe[1:])  # 2 hits
+        stats = client.stats()
+        batcher, store = stats["batcher"], stats["store"]
+        claimed = batcher["submitted_points"] - batcher["attached_points"]
+        assert claimed == 7
+        assert (store["hits"], store["misses"]) == (4, 3)
+        # A miss is looked up at submit only, never again in its batch.
+        assert batcher["batched_points"] == store["misses"]
+
+    def test_truncated_entry_is_one_lookup_then_recomputed(
+            self, tmp_path, monkeypatch):
+        points = _points()
+        store = _warm_store(tmp_path / "store", points)
+        key = store.key_for(_runner(), points[0])
+        entry = store.entry_path(key)
+        entry.write_bytes(entry.read_bytes()[:40])
+        before = (store.hits, store.misses, store.invalid)
+        simulated = _count_simulations(monkeypatch)
+        with CoalescingBatcher(store=store) as batcher:
+            outcomes = batcher.submit(_runner(), points).wait(60.0)
+        assert simulated == [points[0]]
+        assert (store.hits - before[0], store.misses - before[1],
+                store.invalid - before[2]) == (1, 1, 1)
+        _assert_serial(outcomes, points)
+        assert store.get(key, points[0]) is not None  # repaired
+
+    def test_store_degraded_to_no_store_serves_every_point(self, tmp_path):
+        points = _points()
+        _warm_store(tmp_path / "store", points)
+        injector = FaultInjector(FaultPlan(store_faults=(
+            StoreFault(op="get", at=1, kind="permanent"),)))
+        store = SweepStore(tmp_path / "store", fault_injector=injector)
+        with CoalescingBatcher(store=store) as batcher:
+            first = batcher.submit(_runner(), points).wait(60.0)
+            assert store.mode == "no-store"
+            again = batcher.submit(_runner(), points).wait(60.0)
+        _assert_serial(first, points)
+        _assert_serial(again, points)
+
+    def test_deadline_over_hits_alone_never_times_out(self, tmp_path):
+        points = _points()
+        store = _warm_store(tmp_path / "store", points)
+        with ServeDaemon(port=0, store=store, window_s=30.0) as running:
+            served = ServeClient(running.url).whatif(_runner(), points,
+                                                     deadline_s=0.001)
+        assert [r.status for r in served] == ["ok", "ok"]
+
+
+def _open_fds() -> list:
+    """Targets of this process's open file descriptors."""
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # closed while listing (the listing's own fd)
+            pass
+    return targets
+
+
+def _eventually(condition, timeout_s: float = 5.0) -> bool:
+    """Poll ``condition`` until it holds or ``timeout_s`` passes."""
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+class TestDaemonLifecycle:
+    def test_close_releases_a_store_it_opened(self, tmp_path):
+        db = str(tmp_path / "store.db")
+        baseline = len(_open_fds())
+        with ServeDaemon(port=0, store=f"sqlite://{db}") as running:
+            client = ServeClient(running.url)
+            client.whatif(_runner(), _points())  # cold: puts
+            client.whatif(_runner(), _points())  # warm: hits
+            assert any(t.startswith(db) for t in _open_fds())
+        # Handler threads close their sockets just after responding.
+        assert _eventually(lambda: len(_open_fds()) <= baseline)
+        assert not any(t.startswith(db) for t in _open_fds())
+
+    def test_close_leaves_a_callers_store_open(self, tmp_path):
+        db = str(tmp_path / "store.db")
+        store = SweepStore(f"sqlite://{db}")
+        with ServeDaemon(port=0, store=store) as running:
+            ServeClient(running.url).whatif(_runner(), _points()[:1])
+        assert any(t.startswith(db) for t in _open_fds())
+        assert store.get(store.key_for(_runner(), _points()[0])) is not None
+        store.close()
+        assert _eventually(
+            lambda: not any(t.startswith(db) for t in _open_fds()))
+
+    def test_keep_alive_responses_do_not_stall(self, daemon):
+        host, port = daemon.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.monotonic()
+            for _ in range(20):
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.monotonic() - start
+        finally:
+            connection.close()
+        # ~40 ms of delayed-ACK stall per response without TCP_NODELAY.
+        assert elapsed < 0.4
+
+
 # -- Hypothesis: batcher coalescing properties --------------------------------
 
 #: Small universe of distinct points the property test draws requests from.
@@ -438,11 +613,16 @@ def _stub_record(point: SweepPoint) -> SweepRecord:
 @given(requests=st.lists(
     st.lists(st.integers(min_value=0, max_value=len(_UNIVERSE) - 1),
              min_size=1, max_size=4),
-    min_size=1, max_size=6))
-def test_batcher_coalesces_any_interleaving(requests, tmp_path_factory):
-    """Any pattern of overlapping requests: the union is simulated exactly
-    once per unique point, and every request gets exactly its own points
-    back, resolved, in input order."""
+    min_size=1, max_size=6),
+    warm=st.sets(st.integers(min_value=0, max_value=len(_UNIVERSE) - 1),
+                 min_size=len(_UNIVERSE) // 2,
+                 max_size=len(_UNIVERSE) // 2))
+def test_batcher_coalesces_any_interleaving(requests, warm, tmp_path_factory):
+    """Any pattern of overlapping requests against a half-warm store, so
+    that submit-time hits race misses: every cold point of the union is
+    simulated exactly once (no stored one ever), every request gets
+    exactly its own points back, resolved, in input order, and each
+    claimed point costs exactly one store lookup."""
     simulated = []
     lock = threading.Lock()
     original = SweepRunner._run_point
@@ -453,10 +633,13 @@ def test_batcher_coalesces_any_interleaving(requests, tmp_path_factory):
         return _stub_record(point)
 
     store = SweepStore(tmp_path_factory.mktemp("batcher-prop") / "store")
+    runner = _runner()
+    for index in warm:
+        point = _UNIVERSE[index]
+        store.put(store.key_for(runner, point), _stub_record(point))
     SweepRunner._run_point = stub
     try:
         with CoalescingBatcher(store=store, window_s=0.005) as batcher:
-            runner = _runner()
             tickets = []
             threads = []
 
@@ -472,6 +655,7 @@ def test_batcher_coalesces_any_interleaving(requests, tmp_path_factory):
                 thread.join(30)
             outcomes = [(points, ticket.wait(60.0))
                         for points, ticket in tickets]
+            stats = batcher.stats()
     finally:
         SweepRunner._run_point = original
 
@@ -484,10 +668,13 @@ def test_batcher_coalesces_any_interleaving(requests, tmp_path_factory):
             assert (outcome.record.snapshot(include_timeline=True)
                     == _stub_record(outcome.point).snapshot(
                         include_timeline=True))
-    # Exactly-once simulation of the union: in-flight dedup merges racing
-    # requests, the store answers everything after.
-    requested = {store_key(runner.point_spec(_UNIVERSE[i]))
-                 for indices in requests for i in indices}
+    # Exactly-once simulation of the cold part of the union: in-flight
+    # dedup merges racing requests, the store answers everything after.
+    cold = {store_key(runner.point_spec(_UNIVERSE[i]))
+            for indices in requests for i in indices if i not in warm}
     simulated_keys = [store_key(runner.point_spec(p)) for p in simulated]
     assert len(simulated_keys) == len(set(simulated_keys))
-    assert set(simulated_keys) == requested
+    assert set(simulated_keys) == cold
+    claimed = stats["submitted_points"] - stats["attached_points"]
+    assert store.hits + store.misses == claimed
+    assert stats["batched_points"] == store.misses

@@ -19,6 +19,9 @@ against **both** backends (JSON directory and ``sqlite://`` database):
 * **no stray files** — the JSON layout's atomic-write temp names are
   unique per (process, thread, attempt) and cleaned up on every path; the
   SQLite layout leaves nothing but the database (plus its WAL/shm);
+* **no leaked connections** — a SQLite connection is released when the
+  thread that used it exits, so short-lived threads (one per serve
+  request) leave neither connections nor file descriptors behind;
 * the trace checker itself **rejects fabricated inconsistent histories**
   (it must be able to fail, or passing it proves nothing).
 """
@@ -26,8 +29,10 @@ against **both** backends (JSON directory and ``sqlite://`` database):
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -173,6 +178,59 @@ class TestConcurrentWriters:
             allowed = {"store.db", "store.db-wal", "store.db-shm"}
             present = {p.name for p in tmp_path.iterdir() if p.is_file()}
             assert present <= allowed
+
+
+def _db_fds(db: str) -> int:
+    """This process's open file descriptors on ``db`` (and its WAL/shm)."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith(db)
+        except OSError:  # closed while listing (the listing's own fd)
+            pass
+    return count
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+class TestConnectionLifetime:
+    def test_short_lived_threads_leave_no_connections(self, tmp_path):
+        db = str(tmp_path / "store.db")
+        store = SweepStore(f"sqlite://{db}")
+        runner, point = _runner(), _point()
+        key = store.key_for(runner, point)
+        store.put(key, _simulate(runner, point))
+        hits = []
+
+        def reader():
+            hits.append(store.get(key, point) is not None)
+
+        _run_threads([reader])  # settles the spare connection
+        baseline = len(os.listdir("/proc/self/fd"))
+        # One short-lived thread after another, like a client's requests
+        # to the serve daemon (a handler thread per connection).
+        for _ in range(50):
+            _run_threads([reader])
+        assert (len(store.backend._connections)
+                <= threading.active_count() + 1)
+        assert len(os.listdir("/proc/self/fd")) == baseline
+        # 50 overlapping threads, switching often: each one's connection
+        # is released when it exits.  (SQLite defers closing the
+        # descriptors of a connection closed while others are open and
+        # reuses them for the next one it opens; they go once the last
+        # connection closes.)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads([reader] * 50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert hits == [True] * 101
+        assert (len(store.backend._connections)
+                <= threading.active_count() + 1)
+        store.close()
+        assert not store.backend._connections
+        assert _db_fds(db) == 0
 
 
 class TestTraceConsistency:
