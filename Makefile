@@ -5,8 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-workers bench bench-json bench-smoke bench-parallel \
-        bench-store docs-check store-check store-check-sqlite serve-check \
-        failure-check chaos-check dist-check check
+        bench-store docs-check golden-check check
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -46,18 +45,6 @@ bench-parallel:
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-## Result-store round-trip gate, run against BOTH backends (the JSON
-## directory and the sqlite:// database): cold grid run populates the
-## store, warm run must be all hits, zero simulations and byte-identical;
-## per-backend store stats and a json-vs-sqlite comparison land in
-## BENCH_store.json (repo root).
-store-check:
-	$(PYTHON) tools/store_check.py
-
-## Alias: the same gate against only the SQLite backend.
-store-check-sqlite:
-	$(PYTHON) tools/store_check.py --backend sqlite
-
 ## Backend micro-benchmark: a 1000-entry warm read+stats workload where the
 ## SQLite backend must beat the JSON directory by
 ## $$REPRO_BENCH_MIN_SQLITE_SPEEDUP (default 3x); results merge into
@@ -65,53 +52,19 @@ store-check-sqlite:
 bench-store:
 	$(PYTHON) -m pytest -q -s benchmarks/test_store_backends.py
 
-## Serve-layer gate: the concurrency + fault test harness for the what-if
-## daemon and the write-once store, then every committed golden grid served
-## twice over HTTP from an in-process daemon (warm pass must be pure store
-## reads, both passes byte-identical to tests/golden).  Latency percentiles
-## land in BENCH_serve.json (repo root).
-serve-check:
-	$(PYTHON) -m pytest -x -q tests/test_serve.py tests/test_store_concurrency.py
-	$(PYTHON) tools/store_check.py --serve
+## Golden-replay gate: every committed golden grid, cold then warm, through
+## one matrix of cells -- JSON and SQLite stores; serial, supervised-pool
+## and multi-host executors; no fault plan, the committed
+## tools/fault_plans/ci.json or a host kill; direct runs and HTTP through
+## an in-process serve daemon.  Every cell must reproduce tests/golden byte
+## for byte, hit the store on every warm point, keep the store's write-once
+## trace valid, deliver its planned faults and leak no thread or process.
+## Per-cell timings and counters land in BENCH_golden.json (repo root).
+golden-check:
+	$(PYTHON) tools/golden_check.py
 
-## Failure & elasticity scenario gate: the detector/scenario unit and
-## property tests, the failure golden grids at workers=0/1/4 and through
-## both store backends, then the two failure grids served twice over HTTP
-## (warm pass must be pure store reads, byte-identical to tests/golden).
-failure-check:
-	$(PYTHON) -m pytest -x -q tests/test_failure.py \
-	    tests/test_failure_scenarios.py tests/test_golden_sweeps.py
-	$(PYTHON) tools/store_check.py --serve \
-	    --grids fig_crash_small fig_elastic_small
-
-## Resilience gate: the chaos test suite (deterministic fault injection,
-## supervised-pool kill/respawn recovery, store degradation ladders, serve
-## admission control), then the store round-trip gate re-run under the
-## committed fault plan (transient faults must be absorbed by retries),
-## then every committed golden grid replayed under that plan through a
-## supervised worker pool on both backends — byte-identical despite
-## SIGKILLed workers and injected store errors.  Delivered-fault counters
-## land in BENCH_resilience.json (repo root).
-chaos-check:
-	$(PYTHON) -m pytest -x -q tests/test_resilience.py
-	REPRO_FAULT_PLAN=tools/fault_plans/ci.json $(PYTHON) tools/store_check.py
-	$(PYTHON) tools/chaos_check.py
-
-## Distributed-fabric gate: the protocol/executor/agent test suite, then
-## every committed golden grid replayed through a DistExecutor over real
-## `python -m repro dist worker` subprocesses at hosts=1/2 x local
-## workers=0/1/2 — byte-identical at every topology — and once more per
-## grid with one agent SIGKILLed mid-sweep under a host_kills fault plan
-## (chunks reassigned; zero lost or duplicated records per the store
-## trace checker).  Topology timings and steal/reassignment counters land
-## in BENCH_dist.json (repo root).
-dist-check:
-	$(PYTHON) -m pytest -x -q tests/test_dist.py
-	$(PYTHON) tools/dist_check.py
-
-## Everything the CI gate's main leg runs (the parallel-workers, store and
-## serve legs add `make test-workers bench-smoke bench-parallel` under
-## REPRO_SWEEP_WORKERS=2, `make test store-check` under REPRO_SWEEP_STORE,
-## `make serve-check`, `make failure-check`, and `make chaos-check`
-## respectively).
-check: test docs-check bench-smoke store-check
+## Everything the CI gate's main leg runs (the parallel-workers and store
+## legs add `make test-workers bench-smoke bench-parallel` under
+## REPRO_SWEEP_WORKERS=2 and `make bench-store test` under
+## REPRO_SWEEP_STORE respectively).
+check: test docs-check bench-smoke golden-check

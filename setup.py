@@ -1,9 +1,10 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the project's only packaging metadata.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in offline
+A plain ``setup.py`` keeps ``pip install -e .`` working in offline
 environments whose setuptools cannot build PEP 660 editable wheels (no
 ``wheel`` package available); pip falls back to the legacy ``setup.py
-develop`` path in that case.
+develop`` path in that case.  Nothing needs installing to work on the
+repo: everything runs with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

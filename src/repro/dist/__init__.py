@@ -25,7 +25,7 @@ The scale-out contract is the repo-wide determinism contract, extended:
 because per-point seeding is scheduling-independent and the store is
 write-once, a grid's results are **byte-identical at any topology** —
 hosts=1/2 × workers=0/1/2 replay the committed golden grids exactly
-(``make dist-check``), duplicate steals collapse to one delivery, and
+(``make golden-check``), duplicate steals collapse to one delivery, and
 the merged multi-writer store trace still passes
 :func:`~repro.store.verify_store_trace`.
 """

@@ -31,12 +31,12 @@ labour mirrors the local pool exactly:
 
 Results are reassembled in input order and are byte-identical at any
 topology — the golden grids are replayed at hosts=1/2 × workers=0/1/2 by
-``tools/dist_check.py`` to pin exactly that.
+``tools/golden_check.py`` to pin exactly that.
 
 Fault injection: a :class:`~repro.resilience.FaultPlan` ``host_kills``
 schedule (the ``host-death`` fault kind) fires driver-side after the
 N-th delivered record by invoking the executor's ``kill_hook`` — wired to
-:meth:`~repro.dist.LocalWorkerFleet.kill_one` in the chaos harness, which
+:meth:`~repro.dist.LocalWorkerFleet.kill_one` in the golden gate, which
 SIGKILLs a real agent process mid-chunk.
 """
 

@@ -31,7 +31,7 @@ are storage-free by construction (the same parent-side-only store rule
 the local pool follows).
 
 :class:`LocalWorkerFleet` spawns agents as localhost subprocesses — the
-harness the dist tests, ``tools/dist_check.py`` and the CI ``dist`` leg
+harness the dist tests and the golden gate (``tools/golden_check.py``)
 build their two-host topologies (and their host-death faults: a fleet can
 SIGKILL one live agent mid-chunk) from.
 """

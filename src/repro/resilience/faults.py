@@ -18,10 +18,10 @@ Activation is opt-in and zero-cost when off:
   (how the chaos tests wire one injector through a whole stack);
 * **environment** — ``REPRO_FAULT_PLAN`` holds either inline JSON or a path
   to a JSON file; :func:`active_injector` parses it once per process and
-  hands every fault site the same shared injector (how ``make chaos-check``
-  runs the ordinary gates under a committed plan without touching their
-  code).  When the variable is unset, every fault site sees ``None`` and
-  the hot path costs one attribute test.
+  hands every fault site the same shared injector (how a whole command
+  runs under a plan without touching its code).  When the variable is
+  unset, every fault site sees ``None`` and the hot path costs one
+  attribute test.
 
 Faults are injected *parent-side only*: the injector never crosses a
 process boundary (worker kills are delivered by the parent via SIGKILL), so

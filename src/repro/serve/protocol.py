@@ -19,7 +19,7 @@ defined here so the two sides (and the tests) cannot drift:
   (:meth:`~repro.sim.sweep.SweepRecord.snapshot` with embedded
   timelines), so a client rehydrates byte-identical records with
   :meth:`~repro.sim.sweep.SweepRecord.from_snapshot` — the golden
-  round-trip gate (``tools/store_check.py --serve``) pins exactly that.
+  gate's HTTP cells (``tools/golden_check.py``) pin exactly that.
 
 Factory resolution is deliberately narrow: a request may only name
 factories inside :data:`ALLOWED_FACTORY_MODULES` (the server-SKU catalog),

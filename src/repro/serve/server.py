@@ -28,8 +28,7 @@ when absent): a request whose points are still simulating when its
 deadline passes gets its completed points plus ``timed_out`` markers for
 the rest — the simulation keeps running and its results land in the
 store, so asking again is cheap.  Responses carry request latency; the
-daemon aggregates latencies for ``/v1/stats`` percentiles (what the CI
-serve gate uploads as ``BENCH_serve.json``).
+daemon aggregates latencies for ``/v1/stats`` percentiles.
 
 Resilience: sweep-running POSTs pass admission control — at most
 ``max_inflight`` run concurrently; excess requests get ``503`` with a
@@ -37,7 +36,7 @@ Resilience: sweep-running POSTs pass admission control — at most
 drains by default: new sweeps are rejected (``503 draining``) while
 requests already admitted run to completion.  ``/v1/health`` reports
 per-subsystem degradation (store mode, pool respawns, batcher retries,
-admission pressure) so an operator — or the chaos gate — can see a
+admission pressure) so an operator — or the golden gate — can see a
 daemon that is alive but limping.
 """
 
@@ -267,9 +266,11 @@ class ServeDaemon:
     def start(self) -> "ServeDaemon":
         """Serve on a background thread (idempotent); returns self."""
         if self._serve_thread is None:
+            # close() waits for the loop's next poll, so the poll interval
+            # bounds how long closing a started daemon takes.
             self._serve_thread = threading.Thread(
                 target=self._http.serve_forever, name="repro-serve-http",
-                daemon=True)
+                kwargs={"poll_interval": 0.05}, daemon=True)
             self._serve_thread.start()
         return self
 

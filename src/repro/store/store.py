@@ -301,7 +301,7 @@ class StoreStats:
         return self.mode != "ok"
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON dumps in the CI store leg and /v1/stats)."""
+        """Plain-dict form (``/v1/stats``, ``BENCH_golden.json``)."""
         return {
             "directory": self.directory,
             "backend": self.backend,

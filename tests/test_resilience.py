@@ -32,7 +32,7 @@ What this file pins, end to end:
 Worker kills are delivered parent-side, so they need a live pool: on
 machines whose core count clamps every sweep to serial, the kill tests
 drive an explicit :class:`~repro.store.PersistentPool` (the pool path
-bypasses the serial fallback), which is also what ``make chaos-check``
+bypasses the serial fallback), which is also what ``make golden-check``
 does — the byte-identity contract is the same either way.
 """
 

@@ -586,6 +586,13 @@ class TestDaemonLifecycle:
         # ~40 ms of delayed-ACK stall per response without TCP_NODELAY.
         assert elapsed < 0.4
 
+    def test_close_of_an_idle_daemon_is_prompt(self):
+        running = ServeDaemon(port=0, store=False).start()
+        start = time.monotonic()
+        running.close()
+        # The serve loop's default 0.5 s poll would hold close() that long.
+        assert time.monotonic() - start < 0.25
+
 
 # -- Hypothesis: batcher coalescing properties --------------------------------
 
